@@ -1,40 +1,16 @@
 #include "layout/gds_stream.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <istream>
 #include <limits>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/io.hpp"
 #include "geom/polygon.hpp"
 
 namespace hsdl::layout {
 namespace {
-
-// Record types (subset — must match layout/gdsii.cpp).
-enum : std::uint8_t {
-  kHeader = 0x00,
-  kBgnLib = 0x01,
-  kLibName = 0x02,
-  kUnits = 0x03,
-  kEndLib = 0x04,
-  kBgnStr = 0x05,
-  kStrName = 0x06,
-  kEndStr = 0x07,
-  kBoundary = 0x08,
-  kSref = 0x0A,
-  kAref = 0x0B,
-  kLayer = 0x0D,
-  kDatatype = 0x0E,
-  kXy = 0x10,
-  kEndEl = 0x11,
-  kSname = 0x12,
-  kColRow = 0x13,
-};
 
 constexpr std::size_t kMaxHierDepth = 64;
 constexpr std::int64_t kMaxFlattenInstances = 1 << 24;
@@ -52,104 +28,6 @@ struct Fnv64 {
   }
   void mix_coord(geom::Coord c) { mix(static_cast<std::uint64_t>(c)); }
 };
-
-/// Forward-only record cursor over a std::istream: 4-byte tag/len
-/// header, payload into one reused bounded buffer. Never reads ahead of
-/// the current record, never buffers the file.
-class StreamRecordReader {
- public:
-  StreamRecordReader(std::istream& is, const GdsReadOptions& options)
-      : is_(is), max_record_bytes_(options.max_record_bytes) {
-    buf_.reserve(max_record_bytes_);
-  }
-
-  struct Record {
-    std::uint8_t type = 0;
-    std::uint8_t dtype = 0;
-    std::string_view payload;
-  };
-
-  /// Frames the next record; false at clean end-of-stream.
-  bool next(Record& rec) {
-    record_start_ = offset_;
-    unsigned char hdr[4];
-    is_.read(reinterpret_cast<char*>(hdr), 4);
-    const std::streamsize got = is_.gcount();
-    if (got == 0) return false;
-    if (got < 4) fail_at(record_start_, "truncated record header");
-    offset_ += 4;
-    const std::size_t len =
-        (static_cast<std::size_t>(hdr[0]) << 8) | hdr[1];
-    rec.type = hdr[2];
-    rec.dtype = hdr[3];
-    if (len < 4) fail_at(record_start_, "record length below header size");
-    if (len > max_record_bytes_)
-      fail_at(record_start_,
-              "record length " + std::to_string(len) + " exceeds the " +
-                  std::to_string(max_record_bytes_) + "-byte record bound");
-    buf_.resize(len - 4);
-    if (len > 4) {
-      is_.read(buf_.data(), static_cast<std::streamsize>(len - 4));
-      if (static_cast<std::size_t>(is_.gcount()) < len - 4)
-        fail_at(record_start_, "truncated record payload");
-      offset_ += len - 4;
-    }
-    rec.payload = std::string_view(buf_.data(), buf_.size());
-    ++index_;
-    return true;
-  }
-
-  /// Trailing bytes after ENDLIB must be NUL tape padding only.
-  void expect_only_padding() {
-    char c;
-    while (is_.read(&c, 1), is_.gcount() == 1) {
-      if (c != '\0') fail("non-padding trailing data after ENDLIB");
-      ++offset_;
-    }
-  }
-
-  std::uint64_t offset() const { return offset_; }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    fail_at(offset_, msg);
-  }
-
- private:
-  [[noreturn]] void fail_at(std::uint64_t at, const std::string& msg) const {
-    throw io::IoError(msg + " (record #" + std::to_string(index_) + ")", at,
-                      "GDSII");
-  }
-
-  std::istream& is_;
-  std::size_t max_record_bytes_;
-  std::string buf_;
-  std::uint64_t offset_ = 0;
-  std::uint64_t record_start_ = 0;
-  std::size_t index_ = 0;
-};
-
-std::string trim_nul(std::string_view s) {
-  while (!s.empty() && s.back() == '\0') s.remove_suffix(1);
-  return std::string(s);
-}
-
-/// Decodes a boundary XY payload into a ring via the shared
-/// bounds-checked big-endian codecs.
-std::vector<geom::Point> decode_ring(std::string_view payload,
-                                     StreamRecordReader& records) {
-  if (payload.size() % 8 != 0) records.fail("odd XY payload");
-  io::ByteReader r(payload, "GDSII");
-  std::vector<geom::Point> ring;
-  ring.reserve(payload.size() / 8);
-  while (!r.at_end()) {
-    const geom::Coord x = r.i32_be();
-    const geom::Coord y = r.i32_be();
-    ring.push_back({x, y});
-  }
-  // GDSII repeats the first vertex at the end.
-  if (ring.size() >= 2 && ring.front() == ring.back()) ring.pop_back();
-  return ring;
-}
 
 }  // namespace
 
@@ -436,190 +314,13 @@ std::vector<std::int16_t> HierLayout::present_layers() const {
   return {layers.begin(), layers.end()};
 }
 
-void HierLayout::collapse(const std::string& library_name) {
-  HierCell top;
-  top.name = cells_[top_].name;
-  for (std::int16_t layer : present_layers()) {
-    for (const geom::Rect& r : flatten(layer)) {
-      top.shapes.push_back(r);
-      top.layers.push_back(layer);
-    }
-  }
-  cells_.clear();
-  cells_.push_back(std::move(top));
-  top_ = 0;
-  finalize(library_name, {{}});
-}
-
 HierLayout read_hier_gds(std::istream& is, const GdsReadOptions& options) {
-  options.validate();
-  StreamRecordReader records(is, options);
-  HierLayout hier;
-  std::vector<std::vector<GdsRef>> raw_refs;
-  std::string lib_name = "HSDL";
-
-  StreamRecordReader::Record rec;
-  bool saw_header = false, in_struct = false, in_element = false;
-  bool element_is_boundary = false;
-  bool element_is_ref = false;
-  bool element_is_aref = false;
-  bool have_colrow = false;
-  std::int16_t current_layer = 0;
-  std::vector<geom::Point> current_ring;
-  std::string aref_xy;
-  GdsRef current_ref;
-
-  const auto payload_i16 = [&](std::string_view p) {
-    io::ByteReader r(p, "GDSII");
-    return r.i16_be();
-  };
-
-  while (records.next(rec)) {
-    switch (rec.type) {
-      case kHeader:
-        saw_header = true;
-        break;
-      case kLibName:
-        lib_name = trim_nul(rec.payload);
-        break;
-      case kBgnLib:
-      case kUnits:
-      case kDatatype:
-        break;  // geometry is consumed in integer database units
-      case kBgnStr:
-        if (in_struct) records.fail("nested BGNSTR");
-        hier.cells_.emplace_back();
-        raw_refs.emplace_back();
-        in_struct = true;
-        break;
-      case kStrName:
-        if (!in_struct) records.fail("STRNAME outside structure");
-        hier.cells_.back().name = trim_nul(rec.payload);
-        break;
-      case kEndStr:
-        if (!in_struct || in_element) records.fail("unbalanced ENDSTR");
-        in_struct = false;
-        break;
-      case kBoundary:
-        if (!in_struct || in_element)
-          records.fail("BOUNDARY outside structure");
-        in_element = true;
-        element_is_boundary = true;
-        current_layer = 0;
-        current_ring.clear();
-        break;
-      case kSref:
-      case kAref:
-        if (!in_struct || in_element)
-          records.fail(rec.type == kAref ? "AREF outside structure"
-                                         : "SREF outside structure");
-        in_element = true;
-        element_is_ref = true;
-        element_is_aref = rec.type == kAref;
-        have_colrow = false;
-        aref_xy.clear();
-        current_ref = GdsRef{};
-        break;
-      case kSname:
-        if (in_element && element_is_ref)
-          current_ref.cell = trim_nul(rec.payload);
-        break;
-      case kColRow:
-        if (in_element && element_is_aref) {
-          if (rec.payload.size() < 4) records.fail("short COLROW payload");
-          io::ByteReader r(rec.payload, "GDSII");
-          current_ref.cols = r.i16_be();
-          current_ref.rows = r.i16_be();
-          if (current_ref.cols < 1 || current_ref.rows < 1)
-            records.fail("non-positive COLROW repetition");
-          have_colrow = true;
-        }
-        break;
-      case kLayer:
-        if (in_element) current_layer = payload_i16(rec.payload);
-        break;
-      case kXy:
-        if (in_element && element_is_ref) {
-          if (element_is_aref) {
-            aref_xy.assign(rec.payload);
-          } else {
-            if (rec.payload.size() < 8) records.fail("SREF without XY");
-            io::ByteReader r(rec.payload, "GDSII");
-            current_ref.at.x = r.i32_be();
-            current_ref.at.y = r.i32_be();
-          }
-        }
-        if (in_element && element_is_boundary)
-          current_ring = decode_ring(rec.payload, records);
-        break;
-      case kEndEl:
-        if (in_element && element_is_ref) {
-          if (current_ref.cell.empty()) records.fail("SREF without SNAME");
-          if (element_is_aref) {
-            if (!have_colrow) records.fail("AREF without COLROW");
-            if (aref_xy.size() != 24)
-              records.fail("AREF XY must hold exactly 3 points");
-            io::ByteReader r(aref_xy, "GDSII");
-            const geom::Point origin{r.i32_be(), r.i32_be()};
-            const geom::Point col_ref{r.i32_be(), r.i32_be()};
-            const geom::Point row_ref{r.i32_be(), r.i32_be()};
-            if (col_ref.y != origin.y || row_ref.x != origin.x)
-              records.fail("rotated or sheared AREF (unsupported subset)");
-            const geom::Coord col_span = col_ref.x - origin.x;
-            const geom::Coord row_span = row_ref.y - origin.y;
-            if (col_span % current_ref.cols != 0 ||
-                row_span % current_ref.rows != 0)
-              records.fail("AREF span not divisible by its COLROW counts");
-            current_ref.at = origin;
-            current_ref.col_pitch = col_span / current_ref.cols;
-            current_ref.row_pitch = row_span / current_ref.rows;
-            if ((current_ref.cols > 1 && current_ref.col_pitch == 0) ||
-                (current_ref.rows > 1 && current_ref.row_pitch == 0))
-              records.fail("zero-pitch AREF repetition");
-          }
-          raw_refs.back().push_back(current_ref);
-        }
-        if (in_element && element_is_boundary) {
-          if (!geom::is_rectilinear_ring(current_ring))
-            records.fail("non-rectilinear boundary (unsupported subset)");
-          if (options.layer_filter < 0 ||
-              current_layer == options.layer_filter) {
-            HierCell& cell = hier.cells_.back();
-            for (const geom::Rect& r :
-                 geom::Polygon(current_ring).decompose()) {
-              cell.shapes.push_back(r);
-              cell.layers.push_back(current_layer);
-            }
-          }
-        }
-        in_element = false;
-        element_is_boundary = false;
-        element_is_ref = false;
-        element_is_aref = false;
-        break;
-      case kEndLib:
-        if (!saw_header) records.fail("ENDLIB before HEADER");
-        if (in_struct) records.fail("ENDLIB inside structure");
-        records.expect_only_padding();
-        hier.finalize(lib_name, std::move(raw_refs));
-        if (!options.keep_hierarchy) hier.collapse(lib_name);
-        return hier;
-      default:
-        if (!options.skip_unknown)
-          records.fail("unknown record type " +
-                       std::to_string(static_cast<int>(rec.type)) +
-                       " with skip_unknown disabled");
-        break;
-    }
-  }
-  records.fail("stream ended without ENDLIB");
+  return hier_from_library(read_gds(is, options), options);
 }
 
 HierLayout read_hier_gds_file(const std::string& path,
                               const GdsReadOptions& options) {
-  std::ifstream is(path, std::ios::binary);
-  HSDL_CHECK_MSG(is.good(), "cannot open '" << path << "' for reading");
-  return read_hier_gds(is, options);
+  return hier_from_library(read_gds_file(path, options), options);
 }
 
 HierLayout hier_from_library(const GdsLibrary& lib,
@@ -644,7 +345,6 @@ HierLayout hier_from_library(const GdsLibrary& lib,
     raw_refs.push_back(cell.refs);
   }
   hier.finalize(lib.name, std::move(raw_refs));
-  if (!options.keep_hierarchy) hier.collapse(lib.name);
   return hier;
 }
 

@@ -1,11 +1,10 @@
 #include "layout/gdsii.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <set>
 #include <string_view>
 #include <unordered_map>
 
@@ -15,7 +14,7 @@
 namespace hsdl::layout {
 namespace {
 
-// Record types (subset).
+// Record types (the supported subset).
 enum : std::uint8_t {
   kHeader = 0x00,
   kBgnLib = 0x01,
@@ -28,12 +27,12 @@ enum : std::uint8_t {
   kBoundary = 0x08,
   kSref = 0x0A,
   kAref = 0x0B,
-  kSname = 0x12,
-  kColRow = 0x13,
   kLayer = 0x0D,
   kDatatype = 0x0E,
   kXy = 0x10,
   kEndEl = 0x11,
+  kSname = 0x12,
+  kColRow = 0x13,
 };
 
 // Data types.
@@ -44,6 +43,9 @@ enum : std::uint8_t {
   kReal8 = 0x05,
   kAscii = 0x06,
 };
+
+// The writer assembles the whole stream in memory, so a library it
+// cannot represent is rejected before any byte reaches the ostream.
 
 void put_u16(std::string& buf, std::uint16_t v) {
   buf.push_back(static_cast<char>(v >> 8));
@@ -60,133 +62,193 @@ void put_u64(std::string& buf, std::uint64_t v) {
   put_u32(buf, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
 }
 
-void emit(std::ostream& os, std::uint8_t rec, std::uint8_t dtype,
-          const std::string& payload) {
+void emit(std::string& out, std::uint8_t rec, std::uint8_t dtype,
+          std::string_view payload) {
   // Length includes the 4-byte header; GDSII pads odd payloads.
-  std::string body = payload;
-  if (body.size() % 2 == 1) body.push_back('\0');
-  const auto len = static_cast<std::uint16_t>(body.size() + 4);
-  std::string header;
-  put_u16(header, len);
-  header.push_back(static_cast<char>(rec));
-  header.push_back(static_cast<char>(dtype));
-  os.write(header.data(), static_cast<std::streamsize>(header.size()));
-  os.write(body.data(), static_cast<std::streamsize>(body.size()));
+  const std::size_t len = 4 + payload.size() + payload.size() % 2;
+  HSDL_CHECK_MSG(len <= 65535,
+                 "GDSII: record type " << static_cast<int>(rec) << " needs "
+                                       << len
+                                       << " bytes, more than the 16-bit "
+                                          "record length field holds");
+  put_u16(out, static_cast<std::uint16_t>(len));
+  out.push_back(static_cast<char>(rec));
+  out.push_back(static_cast<char>(dtype));
+  out.append(payload);
+  if (payload.size() % 2 == 1) out.push_back('\0');
 }
 
-void emit_i16(std::ostream& os, std::uint8_t rec, std::int16_t v) {
+void emit_i16(std::string& out, std::uint8_t rec, std::int16_t v) {
   std::string p;
   put_u16(p, static_cast<std::uint16_t>(v));
-  emit(os, rec, kInt16, p);
+  emit(out, rec, kInt16, p);
 }
 
-void emit_ascii(std::ostream& os, std::uint8_t rec, const std::string& s) {
-  emit(os, rec, kAscii, s);
+bool fits_i32(geom::Coord c) {
+  return c >= std::numeric_limits<std::int32_t>::min() &&
+         c <= std::numeric_limits<std::int32_t>::max();
 }
 
 void put_point(std::string& xy, geom::Point p) {
-  put_u32(xy, static_cast<std::uint32_t>(static_cast<std::int32_t>(p.x)));
-  put_u32(xy, static_cast<std::uint32_t>(static_cast<std::int32_t>(p.y)));
+  for (const geom::Coord c : {p.x, p.y}) {
+    HSDL_CHECK_MSG(fits_i32(c), "GDSII: coordinate "
+                                    << c << " outside the 32-bit XY range");
+    put_u32(xy, static_cast<std::uint32_t>(static_cast<std::int32_t>(c)));
+  }
 }
 
 /// GDSII timestamps: 6 int16 fields (year, month, day, hour, min, sec),
 /// twice (modification + access). Fixed epoch keeps output deterministic.
-void emit_timestamps(std::ostream& os, std::uint8_t rec) {
+void emit_timestamps(std::string& out, std::uint8_t rec) {
   std::string p;
   for (int rep = 0; rep < 2; ++rep) {
     const std::int16_t stamp[6] = {2017, 6, 18, 0, 0, 0};  // DAC'17
     for (std::int16_t v : stamp)
       put_u16(p, static_cast<std::uint16_t>(v));
   }
-  emit(os, rec, kInt16, p);
+  emit(out, rec, kInt16, p);
 }
 
-struct Record {
-  std::uint8_t type = 0;
-  std::uint8_t dtype = 0;
-  std::string_view payload;
-};
-
-/// Walks the record stream over an in-memory buffer via the shared
-/// bounds-checked reader; every diagnostic carries the record index and
-/// the byte offset where decoding stopped.
-class RecordStream {
+/// Forward-only record cursor over a std::istream: the 4-byte length and
+/// type header is checked against `max_record_bytes` before the payload
+/// is read into one reused buffer, so reader memory is O(1) in the file
+/// size. Payload fields decode through io::ByteReader. Every diagnostic
+/// is an io::IoError carrying the absolute byte offset and the record
+/// index.
+class RecordReader {
  public:
-  RecordStream(std::string_view data, std::size_t max_record_bytes)
-      : reader_(data, "GDSII"), max_record_bytes_(max_record_bytes) {}
+  RecordReader(std::istream& is, std::size_t max_record_bytes)
+      : is_(is), max_record_bytes_(max_record_bytes) {
+    buf_.reserve(max_record_bytes_);
+  }
 
-  bool next(Record& rec) {
-    if (reader_.at_end()) return false;
-    const std::uint64_t start = reader_.pos();
-    if (reader_.remaining() < 4)
-      fail_at(start, "truncated record header");
-    const std::uint16_t len = reader_.u16_be();
-    rec.type = reader_.u8();
-    rec.dtype = reader_.u8();
+  /// Frames the next record; false at clean end-of-stream.
+  bool next() {
+    const std::uint64_t start = offset_;
+    unsigned char hdr[4];
+    is_.read(reinterpret_cast<char*>(hdr), 4);
+    const std::streamsize got = is_.gcount();
+    if (got == 0) return false;
+    if (got < 4) fail_at(start, "truncated record header");
+    const std::size_t len = (static_cast<std::size_t>(hdr[0]) << 8) | hdr[1];
+    type_ = hdr[2];
     if (len < 4) fail_at(start, "record length below header size");
     if (len > max_record_bytes_)
       fail_at(start, "record length " + std::to_string(len) +
-                         " exceeds the " +
-                         std::to_string(max_record_bytes_) +
+                         " exceeds the " + std::to_string(max_record_bytes_) +
                          "-byte record bound");
-    if (reader_.remaining() < static_cast<std::size_t>(len) - 4)
-      fail_at(start, "truncated record payload");
-    rec.payload = reader_.bytes(static_cast<std::size_t>(len) - 4);
+    buf_.resize(len - 4);
+    if (!buf_.empty()) {
+      is_.read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+      if (static_cast<std::size_t>(is_.gcount()) < buf_.size())
+        fail_at(start, "truncated record payload");
+    }
+    payload_start_ = start + 4;
+    offset_ = start + len;
+    payload_ = io::ByteReader(buf_, "GDSII");
     ++index_;
     return true;
   }
 
-  /// Trailing bytes after ENDLIB must be NUL tape padding only.
-  void expect_only_padding() {
-    while (!reader_.at_end())
-      if (reader_.u8() != 0)
-        reader_.fail("non-padding trailing data after ENDLIB");
+  std::uint8_t type() const { return type_; }
+
+  // Big-endian fields of the current payload, in order.
+  std::int16_t i16() {
+    need(2);
+    return payload_.i16_be();
+  }
+  std::int32_t i32() {
+    need(4);
+    return payload_.i32_be();
+  }
+  std::uint64_t u64() {
+    need(8);
+    return payload_.u64_be();
   }
 
-  std::size_t record_index() const { return index_; }
-  std::uint64_t offset() const { return reader_.pos(); }
+  /// The whole payload as an ASCII name, less GDSII's NUL padding.
+  std::string name() const {
+    std::string_view s = buf_;
+    while (!s.empty() && s.back() == '\0') s.remove_suffix(1);
+    return std::string(s);
+  }
 
+  /// The whole payload as (x, y) int32 pairs.
+  std::vector<geom::Point> points() {
+    if (buf_.size() % 8 != 0) fail("odd XY payload");
+    std::vector<geom::Point> out(buf_.size() / 8);
+    for (geom::Point& p : out) {
+      p.x = i32();
+      p.y = i32();
+    }
+    return out;
+  }
+
+  /// Trailing bytes after ENDLIB must be NUL tape padding only.
+  void expect_only_padding() {
+    char c;
+    while (is_.read(&c, 1), is_.gcount() == 1) {
+      if (c != '\0') fail("non-padding trailing data after ENDLIB");
+      ++offset_;
+    }
+  }
+
+  /// Throws at the end of the current record.
   [[noreturn]] void fail(const std::string& msg) const {
-    fail_at(reader_.pos(), msg);
+    fail_at(offset_, msg);
   }
 
  private:
+  // A short payload fails here, at its absolute offset, rather than
+  // inside ByteReader with an offset relative to the payload.
+  void need(std::size_t n) const {
+    if (payload_.remaining() < n)
+      fail_at(payload_start_ + payload_.pos(), "record payload too short");
+  }
+
   [[noreturn]] void fail_at(std::uint64_t at, const std::string& msg) const {
     throw io::IoError(msg + " (record #" + std::to_string(index_) + ")", at,
                       "GDSII");
   }
 
-  io::ByteReader reader_;
+  std::istream& is_;
   std::size_t max_record_bytes_;
-  std::size_t index_ = 0;  // records fully decoded so far
+  std::string buf_;
+  io::ByteReader payload_{{}, "GDSII"};
+  std::uint8_t type_ = 0;
+  std::uint64_t offset_ = 0;  // end of the current record
+  std::uint64_t payload_start_ = 0;
+  std::size_t index_ = 0;  // records framed so far
 };
 
-std::int16_t get_i16(std::string_view p, std::size_t at) {
-  HSDL_CHECK_MSG(at + 2 <= p.size(), "GDSII: record payload too short");
-  return static_cast<std::int16_t>(
-      (static_cast<std::uint16_t>(static_cast<unsigned char>(p[at])) << 8) |
-      static_cast<unsigned char>(p[at + 1]));
-}
-
-std::int32_t get_i32(std::string_view p, std::size_t at) {
-  HSDL_CHECK_MSG(at + 4 <= p.size(), "GDSII: record payload too short");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v = (v << 8) | static_cast<unsigned char>(p[at + static_cast<std::size_t>(i)]);
-  return static_cast<std::int32_t>(v);
-}
-
-std::uint64_t get_u64(std::string_view p, std::size_t at) {
-  HSDL_CHECK_MSG(at + 8 <= p.size(), "GDSII: record payload too short");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v = (v << 8) | static_cast<unsigned char>(p[at + static_cast<std::size_t>(i)]);
-  return v;
-}
-
-std::string trim_nul(std::string_view s) {
-  while (!s.empty() && s.back() == '\0') s.remove_suffix(1);
-  return std::string(s);
+/// Resolves an AREF's COLROW + 3-point XY into the normalized GdsRef
+/// repetition form (origin at the lowest instance, non-negative pitches).
+void resolve_aref(GdsRef& ref, const std::vector<geom::Point>& xy,
+                  const RecordReader& records) {
+  if (xy.size() != 3) records.fail("AREF XY must hold exactly 3 points");
+  const geom::Point origin = xy[0], col_ref = xy[1], row_ref = xy[2];
+  if (col_ref.y != origin.y || row_ref.x != origin.x)
+    records.fail("rotated or sheared AREF (unsupported subset)");
+  const geom::Coord col_span = col_ref.x - origin.x;
+  const geom::Coord row_span = row_ref.y - origin.y;
+  if (col_span % ref.cols != 0 || row_span % ref.rows != 0)
+    records.fail("AREF span not divisible by its COLROW counts");
+  ref.at = origin;
+  ref.col_pitch = col_span / ref.cols;
+  ref.row_pitch = row_span / ref.rows;
+  if ((ref.cols > 1 && ref.col_pitch == 0) ||
+      (ref.rows > 1 && ref.row_pitch == 0))
+    records.fail("zero-pitch AREF repetition");
+  // Normalize negative pitches: move the origin to the low corner so
+  // downstream lazy-expansion index math can assume positive steps.
+  if (ref.col_pitch < 0) {
+    ref.at.x += (ref.cols - 1) * ref.col_pitch;
+    ref.col_pitch = -ref.col_pitch;
+  }
+  if (ref.row_pitch < 0) {
+    ref.at.y += (ref.rows - 1) * ref.row_pitch;
+    ref.row_pitch = -ref.row_pitch;
+  }
 }
 
 }  // namespace
@@ -253,36 +315,39 @@ std::vector<geom::Rect> GdsCell::rects_on_layer(std::int16_t layer) const {
 }
 
 void write_gds(std::ostream& os, const GdsLibrary& lib) {
-  emit_i16(os, kHeader, 600);  // stream version 6
-  emit_timestamps(os, kBgnLib);
-  emit_ascii(os, kLibName, lib.name);
+  std::string out;
+  emit_i16(out, kHeader, 600);  // stream version 6
+  emit_timestamps(out, kBgnLib);
+  emit(out, kLibName, kAscii, lib.name);
   {
     std::string p;
     put_u64(p, to_gds_real(lib.user_unit));
     put_u64(p, to_gds_real(lib.db_unit_meters));
-    emit(os, kUnits, kReal8, p);
+    emit(out, kUnits, kReal8, p);
   }
   for (const GdsCell& cell : lib.cells) {
     HSDL_CHECK(cell.boundaries.size() == cell.layers.size());
-    emit_timestamps(os, kBgnStr);
-    emit_ascii(os, kStrName, cell.name);
+    emit_timestamps(out, kBgnStr);
+    emit(out, kStrName, kAscii, cell.name);
     for (std::size_t i = 0; i < cell.boundaries.size(); ++i) {
-      emit(os, kBoundary, kNoData, "");
-      emit_i16(os, kLayer, cell.layers[i]);
-      emit_i16(os, kDatatype, 0);
+      emit(out, kBoundary, kNoData, "");
+      emit_i16(out, kLayer, cell.layers[i]);
+      emit_i16(out, kDatatype, 0);
       std::string xy;
       const auto& ring = cell.boundaries[i].ring();
       HSDL_CHECK_MSG(!ring.empty(), "empty boundary");
       for (std::size_t v = 0; v <= ring.size(); ++v)
         put_point(xy, ring[v % ring.size()]);  // closed ring
-      emit(os, kXy, kInt32, xy);
-      emit(os, kEndEl, kNoData, "");
+      emit(out, kXy, kInt32, xy);
+      emit(out, kEndEl, kNoData, "");
     }
     for (const GdsRef& ref : cell.refs) {
       HSDL_CHECK_MSG(ref.cols >= 1 && ref.rows >= 1,
                      "GDSII: reference to '"
                          << ref.cell << "' has non-positive repetition "
                          << ref.cols << "x" << ref.rows);
+      std::string xy;
+      put_point(xy, ref.at);
       if (ref.is_array()) {
         HSDL_CHECK_MSG(ref.cols <= 32767 && ref.rows <= 32767,
                        "GDSII: AREF repetition exceeds the 16-bit COLROW "
@@ -291,70 +356,37 @@ void write_gds(std::ostream& os, const GdsLibrary& lib) {
                            (ref.rows == 1 || ref.row_pitch > 0),
                        "GDSII: AREF of '" << ref.cell
                                           << "' needs positive pitches");
-        emit(os, kAref, kNoData, "");
-        emit_ascii(os, kSname, ref.cell);
+        // In-range pitches keep the corner arithmetic below from
+        // overflowing; put_point then range-checks each corner.
+        HSDL_CHECK_MSG(fits_i32(ref.col_pitch) && fits_i32(ref.row_pitch),
+                       "GDSII: AREF of '" << ref.cell
+                                          << "' has a pitch outside the "
+                                             "32-bit XY range");
+        emit(out, kAref, kNoData, "");
+        emit(out, kSname, kAscii, ref.cell);
         std::string colrow;
         put_u16(colrow, static_cast<std::uint16_t>(ref.cols));
         put_u16(colrow, static_cast<std::uint16_t>(ref.rows));
-        emit(os, kColRow, kInt16, colrow);
+        emit(out, kColRow, kInt16, colrow);
         // 3-point XY: origin, origin + cols*col_pitch along x,
         // origin + rows*row_pitch along y (axis-aligned subset).
-        std::string xy;
-        put_point(xy, ref.at);
         put_point(xy, {ref.at.x + ref.cols * ref.col_pitch, ref.at.y});
         put_point(xy, {ref.at.x, ref.at.y + ref.rows * ref.row_pitch});
-        emit(os, kXy, kInt32, xy);
       } else {
-        emit(os, kSref, kNoData, "");
-        emit_ascii(os, kSname, ref.cell);
-        std::string xy;
-        put_point(xy, ref.at);
-        emit(os, kXy, kInt32, xy);
+        emit(out, kSref, kNoData, "");
+        emit(out, kSname, kAscii, ref.cell);
       }
-      emit(os, kEndEl, kNoData, "");
+      emit(out, kXy, kInt32, xy);
+      emit(out, kEndEl, kNoData, "");
     }
-    emit(os, kEndStr, kNoData, "");
+    emit(out, kEndStr, kNoData, "");
   }
-  emit(os, kEndLib, kNoData, "");
+  emit(out, kEndLib, kNoData, "");
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
   HSDL_CHECK_MSG(os.good(), "GDSII write failed");
 }
 
 namespace {
-
-/// Decodes an AREF's COLROW + 3-point XY into the normalized GdsRef
-/// repetition form (origin at the lexicographically lowest instance,
-/// non-negative pitches). `fail` reports with stream position.
-template <typename FailFn>
-void decode_aref_geometry(GdsRef& ref, bool have_colrow,
-                          std::string_view xy_payload, FailFn&& fail) {
-  if (!have_colrow) fail("AREF without COLROW");
-  if (xy_payload.size() != 24) fail("AREF XY must hold exactly 3 points");
-  const geom::Point origin{get_i32(xy_payload, 0), get_i32(xy_payload, 4)};
-  const geom::Point col_ref{get_i32(xy_payload, 8), get_i32(xy_payload, 12)};
-  const geom::Point row_ref{get_i32(xy_payload, 16), get_i32(xy_payload, 20)};
-  if (col_ref.y != origin.y || row_ref.x != origin.x)
-    fail("rotated or sheared AREF (unsupported subset)");
-  const geom::Coord col_span = col_ref.x - origin.x;
-  const geom::Coord row_span = row_ref.y - origin.y;
-  if (col_span % ref.cols != 0 || row_span % ref.rows != 0)
-    fail("AREF span not divisible by its COLROW counts");
-  ref.at = origin;
-  ref.col_pitch = col_span / ref.cols;
-  ref.row_pitch = row_span / ref.rows;
-  if ((ref.cols > 1 && ref.col_pitch == 0) ||
-      (ref.rows > 1 && ref.row_pitch == 0))
-    fail("zero-pitch AREF repetition");
-  // Normalize negative pitches: move the origin to the low corner so
-  // downstream lazy-expansion index math can assume positive steps.
-  if (ref.col_pitch < 0) {
-    ref.at.x += (ref.cols - 1) * ref.col_pitch;
-    ref.col_pitch = -ref.col_pitch;
-  }
-  if (ref.row_pitch < 0) {
-    ref.at.y += (ref.rows - 1) * ref.row_pitch;
-    ref.row_pitch = -ref.row_pitch;
-  }
-}
 
 constexpr std::size_t kMaxFlattenDepth = 64;
 /// Expanded-placement ceiling: adversarial files can nest AREFs so that
@@ -410,32 +442,30 @@ struct Flattener {
 
 GdsLibrary read_gds(std::istream& is, const GdsReadOptions& options) {
   options.validate();
-  const std::string data = io::read_stream(is);
-  RecordStream records(data, options.max_record_bytes);
+  RecordReader records(is, options.max_record_bytes);
   GdsLibrary lib;
-  lib.cells.clear();
-  Record rec;
-  bool saw_header = false, in_struct = false, in_element = false;
-  bool element_is_boundary = false;
-  bool element_is_ref = false;
-  bool element_is_aref = false;
+  bool saw_header = false, in_struct = false;
+  // The open element (kBoundary, kSref, kAref or kNoElement) and what
+  // its records have set so far; it is checked and stored at ENDEL.
+  constexpr std::uint8_t kNoElement = 0xFF;
+  std::uint8_t element = kNoElement;
+  std::int16_t layer = 0;
+  std::vector<geom::Point> xy;
+  GdsRef ref;
   bool have_colrow = false;
-  std::int16_t current_layer = 0;
-  std::vector<geom::Point> current_ring;
-  std::string aref_xy;  // raw 3-point payload, decoded at ENDEL
-  GdsRef current_ref;
 
-  while (records.next(rec)) {
-    switch (rec.type) {
+  while (records.next()) {
+    const std::uint8_t type = records.type();
+    switch (type) {
       case kHeader:
         saw_header = true;
         break;
       case kLibName:
-        lib.name = trim_nul(rec.payload);
+        lib.name = records.name();
         break;
       case kUnits:
-        lib.user_unit = from_gds_real(get_u64(rec.payload, 0));
-        lib.db_unit_meters = from_gds_real(get_u64(rec.payload, 8));
+        lib.user_unit = from_gds_real(records.u64());
+        lib.db_unit_meters = from_gds_real(records.u64());
         break;
       case kBgnLib:
       case kDatatype:
@@ -447,134 +477,75 @@ GdsLibrary read_gds(std::istream& is, const GdsReadOptions& options) {
         break;
       case kStrName:
         if (!in_struct) records.fail("STRNAME outside structure");
-        lib.cells.back().name = trim_nul(rec.payload);
+        lib.cells.back().name = records.name();
         break;
       case kEndStr:
-        if (!in_struct || in_element) records.fail("unbalanced ENDSTR");
+        if (!in_struct || element != kNoElement)
+          records.fail("unbalanced ENDSTR");
         in_struct = false;
         break;
       case kBoundary:
-        if (!in_struct || in_element)
-          records.fail("BOUNDARY outside structure");
-        in_element = true;
-        element_is_boundary = true;
-        current_layer = 0;
-        current_ring.clear();
-        break;
       case kSref:
       case kAref:
-        if (!in_struct || in_element)
-          records.fail(rec.type == kAref ? "AREF outside structure"
+        if (!in_struct || element != kNoElement)
+          records.fail(type == kBoundary ? "BOUNDARY outside structure"
+                       : type == kAref   ? "AREF outside structure"
                                          : "SREF outside structure");
-        in_element = true;
-        element_is_ref = true;
-        element_is_aref = rec.type == kAref;
+        element = type;
+        layer = 0;
+        xy.clear();
+        ref = GdsRef{};
         have_colrow = false;
-        aref_xy.clear();
-        current_ref = GdsRef{};
         break;
       case kSname:
-        if (in_element && element_is_ref)
-          current_ref.cell = trim_nul(rec.payload);
+        if (element == kSref || element == kAref) ref.cell = records.name();
         break;
       case kColRow:
-        if (in_element && element_is_aref) {
-          if (rec.payload.size() < 4) records.fail("short COLROW payload");
-          current_ref.cols = get_i16(rec.payload, 0);
-          current_ref.rows = get_i16(rec.payload, 2);
-          if (current_ref.cols < 1 || current_ref.rows < 1)
+        if (element == kAref) {
+          ref.cols = records.i16();
+          ref.rows = records.i16();
+          if (ref.cols < 1 || ref.rows < 1)
             records.fail("non-positive COLROW repetition");
           have_colrow = true;
         }
         break;
       case kLayer:
-        if (in_element) current_layer = get_i16(rec.payload, 0);
+        if (element != kNoElement) layer = records.i16();
         break;
       case kXy:
-        if (in_element && element_is_ref) {
-          if (element_is_aref) {
-            aref_xy.assign(rec.payload);
-          } else {
-            if (rec.payload.size() < 8) records.fail("SREF without XY");
-            current_ref.at = {get_i32(rec.payload, 0),
-                              get_i32(rec.payload, 4)};
-          }
-        }
-        if (in_element && element_is_boundary) {
-          if (rec.payload.size() % 8 != 0) records.fail("odd XY payload");
-          const std::size_t n = rec.payload.size() / 8;
-          current_ring.clear();
-          for (std::size_t i = 0; i < n; ++i)
-            current_ring.push_back(
-                {get_i32(rec.payload, i * 8),
-                 get_i32(rec.payload, i * 8 + 4)});
-          // GDSII repeats the first vertex at the end.
-          if (current_ring.size() >= 2 &&
-              current_ring.front() == current_ring.back())
-            current_ring.pop_back();
-        }
+        if (element != kNoElement) xy = records.points();
         break;
       case kEndEl:
-        if (in_element && element_is_ref) {
-          if (current_ref.cell.empty()) records.fail("SREF without SNAME");
-          if (element_is_aref)
-            decode_aref_geometry(current_ref, have_colrow, aref_xy,
-                                 [&](const char* msg) { records.fail(msg); });
-          lib.cells.back().refs.push_back(current_ref);
-        }
-        if (in_element && element_is_boundary) {
-          if (!geom::is_rectilinear_ring(current_ring))
+        if (element == kBoundary) {
+          // GDSII repeats the first vertex at the end.
+          if (xy.size() >= 2 && xy.front() == xy.back()) xy.pop_back();
+          if (!geom::is_rectilinear_ring(xy))
             records.fail("non-rectilinear boundary (unsupported subset)");
-          if (options.layer_filter < 0 ||
-              current_layer == options.layer_filter) {
-            lib.cells.back().boundaries.emplace_back(current_ring);
-            lib.cells.back().layers.push_back(current_layer);
+          if (options.layer_filter < 0 || layer == options.layer_filter) {
+            lib.cells.back().boundaries.emplace_back(std::move(xy));
+            lib.cells.back().layers.push_back(layer);
           }
+        } else if (element != kNoElement) {
+          if (ref.cell.empty()) records.fail("SREF without SNAME");
+          if (element == kAref) {
+            if (!have_colrow) records.fail("AREF without COLROW");
+            resolve_aref(ref, xy, records);
+          } else {
+            if (xy.empty()) records.fail("SREF without XY");
+            ref.at = xy.front();
+          }
+          lib.cells.back().refs.push_back(std::move(ref));
         }
-        in_element = false;
-        element_is_boundary = false;
-        element_is_ref = false;
-        element_is_aref = false;
+        element = kNoElement;
         break;
-      case kEndLib: {
+      case kEndLib:
         if (!saw_header) records.fail("ENDLIB before HEADER");
+        if (in_struct) records.fail("ENDLIB inside structure");
         records.expect_only_padding();
-        if (!options.keep_hierarchy) {
-          // Eager resolution: a single flat top cell replaces the
-          // hierarchy (the unique unreferenced cell is the top).
-          std::set<std::string> referenced;
-          for (const GdsCell& cell : lib.cells)
-            for (const GdsRef& ref : cell.refs) referenced.insert(ref.cell);
-          const GdsCell* top = nullptr;
-          for (const GdsCell& cell : lib.cells) {
-            if (referenced.count(cell.name)) continue;
-            if (top != nullptr)
-              records.fail("keep_hierarchy=false requires a unique top "
-                           "cell (found at least '" +
-                           top->name + "' and '" + cell.name + "')");
-            top = &cell;
-          }
-          if (top == nullptr)
-            records.fail("keep_hierarchy=false found no top cell "
-                         "(reference cycle)");
-          std::set<std::int16_t> layers;
-          for (const GdsCell& cell : lib.cells)
-            layers.insert(cell.layers.begin(), cell.layers.end());
-          GdsCell flat;
-          flat.name = top->name;
-          for (std::int16_t layer : layers)
-            for (const geom::Rect& r : flatten_cell(lib, top->name, layer)) {
-              flat.boundaries.push_back(geom::Polygon::from_rect(r));
-              flat.layers.push_back(layer);
-            }
-          lib.cells = {std::move(flat)};
-        }
         return lib;
-      }
       default:
         if (!options.skip_unknown)
-          records.fail("unknown record type " +
-                       std::to_string(static_cast<int>(rec.type)) +
+          records.fail("unknown record type " + std::to_string(type) +
                        " with skip_unknown disabled");
         break;  // skip unsupported records (TEXT, properties, ...)
     }
@@ -607,29 +578,6 @@ std::vector<geom::Rect> flatten_cell(const GdsLibrary& lib,
   Flattener flattener(lib, layer);
   flattener.visit(cell_name, {0, 0}, 0);
   return std::move(flattener.out);
-}
-
-GdsLibrary clip_to_gds(const Clip& clip, std::int16_t layer,
-                       const std::string& cell_name) {
-  GdsLibrary lib;
-  GdsCell cell;
-  cell.name = cell_name;
-  for (const geom::Rect& r : clip.shapes) {
-    cell.boundaries.push_back(geom::Polygon::from_rect(r));
-    cell.layers.push_back(layer);
-  }
-  lib.cells.push_back(std::move(cell));
-  return lib;
-}
-
-Clip gds_to_clip(const GdsLibrary& lib, std::int16_t layer) {
-  HSDL_CHECK_MSG(!lib.cells.empty(), "GDSII library has no cells");
-  Clip clip;
-  clip.shapes = lib.cells.front().rects_on_layer(layer);
-  geom::Rect bbox;
-  for (const geom::Rect& r : clip.shapes) bbox = bbox.bbox_union(r);
-  clip.window = bbox;
-  return clip;
 }
 
 }  // namespace hsdl::layout

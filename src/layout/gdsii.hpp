@@ -12,11 +12,12 @@
 // kernel. AREF arrays must be axis-aligned (no rotation/magnification —
 // outside the supported subset).
 //
-// This header is the in-memory DOM view (`GdsLibrary`): the whole file
-// is parsed into cells that can be edited and written back. For
-// chip-scale inputs that must not be expanded in RAM, use the streaming
-// reader in layout/gds_stream.hpp, which shares `GdsReadOptions` and the
-// record grammar but keeps hierarchy unexpanded (DESIGN.md §16).
+// read_gds is the only GDSII parser. It frames records forward-only off
+// the std::istream through one bounded, reused record buffer and builds
+// the editable `GdsLibrary` view, references unexpanded. Chip-scale
+// scans convert that library into a queryable hierarchy with
+// hier_from_library / read_hier_gds (layout/gds_stream.hpp, DESIGN.md
+// §16).
 #pragma once
 
 #include <cstdint>
@@ -25,14 +26,13 @@
 #include <vector>
 
 #include "geom/polygon.hpp"
-#include "layout/clip.hpp"
 
 namespace hsdl::layout {
 
-/// Read-time policy for both GDSII readers (`read_gds` and the
-/// streaming `read_hier_gds`). Replaces the implicit behaviors of the
-/// original reader (silent unknown-record skipping, unbounded record
-/// sizes, all layers kept) with explicit, validated options — the same
+/// Read-time policy for read_gds (and so for read_hier_gds, which reads
+/// through it). Replaces the implicit behaviors of the original reader
+/// (silent unknown-record skipping, unbounded record sizes, all layers
+/// kept) with explicit, validated options — the same
 /// construct-then-validate idiom as ScanConfig/EngineConfig.
 struct GdsReadOptions {
   /// Upper bound on a record's declared length (header included). The
@@ -40,10 +40,6 @@ struct GdsReadOptions {
   /// lowering it rejects adversarially oversized records early, before
   /// any allocation sized by the untrusted field.
   std::size_t max_record_bytes = 65535;
-  /// When false, the reader resolves the hierarchy eagerly and returns
-  /// a single flat top cell (requires a unique top cell). The default
-  /// keeps SREF/AREF references unexpanded.
-  bool keep_hierarchy = true;
   /// Keep only boundaries on this layer (negative keeps every layer).
   std::int32_t layer_filter = -1;
   /// Skip record types outside the supported subset (TEXT, PATH,
@@ -54,7 +50,7 @@ struct GdsReadOptions {
   /// Rejects nonsense configurations (record bound smaller than a
   /// record header / larger than the 16-bit field can express, layer
   /// filter outside the GDSII layer range) with a positioned error.
-  /// Both readers call this on entry.
+  /// read_gds and hier_from_library call this on entry.
   void validate() const;
 };
 
@@ -98,17 +94,21 @@ struct GdsLibrary {
 };
 
 /// Serializes a library. Boundaries must be rectilinear polygons; refs
-/// with is_array() emit AREF records (SNAME + COLROW + 3-point XY).
+/// with is_array() emit AREF records (SNAME + COLROW + 3-point XY). A
+/// coordinate outside int32 or a record longer than the 16-bit length
+/// field (a boundary of more than 8190 vertices, a name near 64 KiB) is
+/// a CheckError, thrown before any byte is written to `os`.
 void write_gds(std::ostream& os, const GdsLibrary& lib);
 void write_gds_file(const std::string& path, const GdsLibrary& lib);
 
-/// Parses a GDSII stream; throws CheckError/IoError (with the byte
-/// offset and record index) on structural errors.
+/// Parses a GDSII stream, references unexpanded. Malformed input throws
+/// io::IoError with the byte offset and record index; invalid options
+/// throw CheckError.
 GdsLibrary read_gds(std::istream& is, const GdsReadOptions& options);
 GdsLibrary read_gds_file(const std::string& path,
                          const GdsReadOptions& options);
-/// Default-options overloads (the historical behavior: hierarchy kept,
-/// unknown records skipped, every layer loaded).
+/// Default-options overloads (unknown records skipped, every layer
+/// loaded).
 GdsLibrary read_gds(std::istream& is);
 GdsLibrary read_gds_file(const std::string& path);
 
@@ -122,19 +122,6 @@ GdsLibrary read_gds_file(const std::string& path);
 std::vector<geom::Rect> flatten_cell(const GdsLibrary& lib,
                                      const std::string& cell_name,
                                      std::int16_t layer);
-
-/// Deprecated: one-cell shortcut kept for existing callers. New code
-/// should build a GdsLibrary explicitly (or scan through a
-/// layout::LayoutSource adapter — DESIGN.md §16) instead of assuming
-/// the one-clip-one-cell shape.
-GdsLibrary clip_to_gds(const Clip& clip, std::int16_t layer = 1,
-                       const std::string& cell_name = "CLIP");
-
-/// Deprecated: rebuilds a clip from the first cell's shapes on `layer`
-/// (window = bounding box). Same caveat as clip_to_gds: prefer explicit
-/// adapter construction (DESIGN.md §16); this ignores hierarchy and
-/// every cell but the first.
-Clip gds_to_clip(const GdsLibrary& lib, std::int16_t layer = 1);
 
 // -- GDSII 8-byte real conversion (exposed for tests) --
 std::uint64_t to_gds_real(double value);

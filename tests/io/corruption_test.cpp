@@ -220,10 +220,24 @@ TEST(GlfCorruptionTest, TrailingBytesRejected) {
 
 // -- GDSII -------------------------------------------------------------------
 
-TEST(GdsCorruptionTest, EveryTruncationRejected) {
+/// The first sample clip's shapes as one GDSII cell on layer 1.
+std::string sample_gds() {
+  const std::vector<layout::LabeledClip> clips = sample_clips();
+  layout::GdsCell cell;
+  cell.name = "CLIP";
+  for (const geom::Rect& r : clips[0].clip.shapes) {
+    cell.boundaries.push_back(geom::Polygon::from_rect(r));
+    cell.layers.push_back(1);
+  }
+  layout::GdsLibrary lib;
+  lib.cells.push_back(std::move(cell));
   std::ostringstream os;
-  layout::write_gds(os, layout::clip_to_gds(sample_clips()[0].clip));
-  const std::string good = os.str();
+  layout::write_gds(os, lib);
+  return os.str();
+}
+
+TEST(GdsCorruptionTest, EveryTruncationRejected) {
+  const std::string good = sample_gds();
   ASSERT_EQ(try_load_gds(good), Outcome::kAccepted);
   for (std::size_t len = 0; len < good.size(); ++len)
     EXPECT_EQ(try_load_gds(good.substr(0, len)), Outcome::kRejected)
@@ -231,21 +245,17 @@ TEST(GdsCorruptionTest, EveryTruncationRejected) {
 }
 
 TEST(GdsCorruptionTest, RecordLengthBelowHeaderRejected) {
-  std::ostringstream os;
-  layout::write_gds(os, layout::clip_to_gds(sample_clips()[0].clip));
-  std::string bad = os.str();
+  std::string bad = sample_gds();
   bad[0] = 0;
   bad[1] = 2;  // first record claims 2 bytes, below the 4-byte header
   EXPECT_EQ(try_load_gds(bad), Outcome::kRejected);
 }
 
 TEST(GdsCorruptionTest, NonPaddingTrailingDataRejected) {
-  std::ostringstream os;
-  layout::write_gds(os, layout::clip_to_gds(sample_clips()[0].clip));
+  const std::string good = sample_gds();
   // NUL tape padding after ENDLIB is legal; anything else is not.
-  EXPECT_EQ(try_load_gds(os.str() + std::string(4, '\0')),
-            Outcome::kAccepted);
-  EXPECT_EQ(try_load_gds(os.str() + "junk"), Outcome::kRejected);
+  EXPECT_EQ(try_load_gds(good + std::string(4, '\0')), Outcome::kAccepted);
+  EXPECT_EQ(try_load_gds(good + "junk"), Outcome::kRejected);
 }
 
 }  // namespace

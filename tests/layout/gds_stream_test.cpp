@@ -1,5 +1,5 @@
-// Streaming hierarchical GDSII reader (DESIGN.md §16): structural
-// round-trips against the DOM reader and flatten_cell oracle, lazy
+// Hierarchical GDSII read (read_hier_gds, DESIGN.md §16): structural
+// round-trips against the DOM and the flatten_cell oracle, lazy
 // window queries vs the flatten oracle, AREF repetition round-trips,
 // and the corruption sweep (bit flips, truncations, oversized record
 // lengths, reference cycles) — a damaged stream is rejected with a
@@ -26,7 +26,7 @@ using geom::Polygon;
 using geom::Rect;
 
 /// Two-level hierarchy with an AREF, an overlapping SREF and local top
-/// shapes — every placement form the streaming reader supports.
+/// shapes — every placement form the hierarchical read supports.
 GdsLibrary hier_lib() {
   GdsLibrary lib;
   GdsCell via;
@@ -231,6 +231,51 @@ TEST(GdsStreamTest, NegativePitchArefNormalized) {
   EXPECT_EQ(flat[2].lo, (Point{600, 0}));
 }
 
+/// Hands `check` the io::IoError that read_gds and read_hier_gds each
+/// raise on `bytes`; any other outcome fails the calling test.
+template <typename Check>
+void expect_io_error(const std::string& bytes, Check check) {
+  for (int hier = 0; hier < 2; ++hier) {
+    std::istringstream is(bytes);
+    try {
+      if (hier == 1)
+        (void)read_hier_gds(is);
+      else
+        (void)read_gds(is);
+      ADD_FAILURE() << "malformed stream accepted (hier=" << hier << ")";
+    } catch (const io::IoError& e) {
+      check(e);
+    }
+  }
+}
+
+TEST(GdsStreamTest, ShortUnitsPayloadRejectedWithPosition) {
+  std::string s;
+  rec(s, 0x00, 0x02, std::string("\x02\x58", 2));  // HEADER v600
+  rec(s, 0x01, 0x02, std::string(24, '\0'));       // BGNLIB
+  rec(s, 0x03, 0x05, std::string(8, '\0'));        // UNITS: 1 of 2 reals
+  const std::size_t units_end = s.size();
+  rec(s, 0x04, 0x00);                              // ENDLIB
+  expect_io_error(s, [&](const io::IoError& e) {
+    EXPECT_EQ(e.offset(), units_end) << e.what();
+  });
+}
+
+TEST(GdsStreamTest, EndlibInsideStructureRejectedWithPosition) {
+  std::string bad = serialized(hier_lib());
+  // The writer ends with ENDSTR, ENDLIB; dropping ENDSTR leaves the last
+  // structure open when ENDLIB arrives.
+  const std::string endstr("\x00\x04\x07\x00", 4);
+  ASSERT_EQ(bad.substr(bad.size() - 8, 4), endstr);
+  bad.erase(bad.size() - 8, 4);
+  expect_io_error(bad, [&](const io::IoError& e) {
+    EXPECT_EQ(e.offset(), bad.size()) << e.what();
+    EXPECT_NE(std::string(e.what()).find("ENDLIB inside structure"),
+              std::string::npos)
+        << e.what();
+  });
+}
+
 TEST(GdsStreamTest, CyclicSrefRejected) {
   GdsLibrary lib;
   GdsCell t;
@@ -336,17 +381,6 @@ TEST(GdsStreamTest, RecordBoundOptionEnforced) {
     EXPECT_NE(std::string(e.what()).find("record bound"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(GdsStreamTest, KeepHierarchyFalseCollapsesToFlatTop) {
-  GdsReadOptions options;
-  options.keep_hierarchy = false;
-  const HierLayout flat = read_hier(serialized(hier_lib()), options);
-  const HierLayout hier = read_hier(serialized(hier_lib()));
-  ASSERT_EQ(flat.cells().size(), 1u);
-  EXPECT_TRUE(flat.cells()[0].placements.empty());
-  EXPECT_EQ(sorted(flat.flatten(1)), sorted(hier.flatten(1)));
-  EXPECT_EQ(flat.extent(), hier.extent());
 }
 
 TEST(GdsStreamTest, LayerFilterDropsOtherLayers) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "layout/clip.hpp"
 #include "layout/generator.hpp"
 
 namespace hsdl::layout {
@@ -47,25 +48,39 @@ Clip demo_clip() {
   return c;
 }
 
+/// One cell holding the clip's shapes as rectangle boundaries on `layer`.
+GdsLibrary clip_library(const Clip& clip, std::int16_t layer = 1,
+                        const std::string& cell_name = "CLIP") {
+  GdsCell cell;
+  cell.name = cell_name;
+  for (const Rect& r : clip.shapes) {
+    cell.boundaries.push_back(Polygon::from_rect(r));
+    cell.layers.push_back(layer);
+  }
+  GdsLibrary lib;
+  lib.cells.push_back(std::move(cell));
+  return lib;
+}
+
 TEST(GdsiiTest, ClipRoundTrip) {
   const Clip original = demo_clip();
   std::stringstream ss;
-  write_gds(ss, clip_to_gds(original, 7, "TESTCLIP"));
+  write_gds(ss, clip_library(original, 7, "TESTCLIP"));
   GdsLibrary lib = read_gds(ss);
   ASSERT_EQ(lib.cells.size(), 1u);
   EXPECT_EQ(lib.cells[0].name, "TESTCLIP");
-  Clip loaded = gds_to_clip(lib, 7);
+  const std::vector<Rect> loaded = lib.cells[0].rects_on_layer(7);
   // Same rectangles (decomposition of a rect boundary is itself).
-  ASSERT_EQ(loaded.shapes.size(), original.shapes.size());
+  ASSERT_EQ(loaded.size(), original.shapes.size());
   auto sorted = [](std::vector<Rect> v) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  EXPECT_EQ(sorted(loaded.shapes), sorted(original.shapes));
+  EXPECT_EQ(sorted(loaded), sorted(original.shapes));
 }
 
 TEST(GdsiiTest, UnitsRoundTrip) {
-  GdsLibrary lib = clip_to_gds(demo_clip());
+  GdsLibrary lib = clip_library(demo_clip());
   lib.db_unit_meters = 1e-9;
   lib.user_unit = 1e-3;
   std::stringstream ss;
@@ -76,7 +91,7 @@ TEST(GdsiiTest, UnitsRoundTrip) {
 }
 
 TEST(GdsiiTest, LibraryNamePreserved) {
-  GdsLibrary lib = clip_to_gds(demo_clip());
+  GdsLibrary lib = clip_library(demo_clip());
   lib.name = "MYLIB";
   std::stringstream ss;
   write_gds(ss, lib);
@@ -85,7 +100,7 @@ TEST(GdsiiTest, LibraryNamePreserved) {
 
 TEST(GdsiiTest, LayerFiltering) {
   Clip c = demo_clip();
-  GdsLibrary lib = clip_to_gds(c, 1);
+  GdsLibrary lib = clip_library(c, 1);
   // Add one extra boundary on layer 2.
   lib.cells[0].boundaries.push_back(
       Polygon::from_rect(Rect::from_xywh(0, 0, 10, 10)));
@@ -116,7 +131,7 @@ TEST(GdsiiTest, LShapedBoundaryDecomposes) {
 }
 
 TEST(GdsiiTest, MultipleCells) {
-  GdsLibrary lib = clip_to_gds(demo_clip(), 1, "A");
+  GdsLibrary lib = clip_library(demo_clip(), 1, "A");
   GdsCell second;
   second.name = "B";
   second.boundaries.push_back(
@@ -151,11 +166,11 @@ TEST(GdsiiTest, GeneratedClipsRoundTrip) {
   for (int i = 0; i < 5; ++i) {
     Clip c = gen.generate();
     std::stringstream ss;
-    write_gds(ss, clip_to_gds(c));
-    Clip loaded = gds_to_clip(read_gds(ss));
+    write_gds(ss, clip_library(c));
+    const std::vector<Rect> loaded = read_gds(ss).cells[0].rects_on_layer(1);
     geom::Area orig_area = 0, loaded_area = 0;
     for (const Rect& r : c.shapes) orig_area += r.area();
-    for (const Rect& r : loaded.shapes) loaded_area += r.area();
+    for (const Rect& r : loaded) loaded_area += r.area();
     EXPECT_EQ(orig_area, loaded_area) << "clip " << i;
   }
 }
@@ -244,7 +259,7 @@ TEST(GdsiiSrefTest, ReferenceCycleDetected) {
 
 TEST(GdsiiTest, TruncatedStreamThrows) {
   std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
+  write_gds(ss, clip_library(demo_clip()));
   const std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(read_gds(cut), hsdl::CheckError);
@@ -257,16 +272,18 @@ TEST(GdsiiTest, EmptyStreamThrows) {
 
 TEST(GdsiiTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/clip.gds";
-  write_gds_file(path, clip_to_gds(demo_clip()));
-  Clip loaded = gds_to_clip(read_gds_file(path));
-  EXPECT_EQ(loaded.shapes.size(), demo_clip().shapes.size());
+  write_gds_file(path, clip_library(demo_clip()));
+  const GdsLibrary loaded = read_gds_file(path);
+  ASSERT_EQ(loaded.cells.size(), 1u);
+  EXPECT_EQ(loaded.cells[0].rects_on_layer(1).size(),
+            demo_clip().shapes.size());
 }
 
 TEST(GdsiiTest, UnknownRecordsSkipped) {
   // Inject a TEXT-ish record (type 0x0C) between elements; reader must
   // skip it.
   std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
+  write_gds(ss, clip_library(demo_clip()));
   std::string data = ss.str();
   // Append before ENDLIB (last 4 bytes): a 4-byte unknown record.
   std::string unknown = {0x00, 0x04, 0x0C, 0x00};
@@ -292,14 +309,14 @@ TEST(GdsReadOptionsTest, ValidateRejectsNonsense) {
 
 TEST(GdsReadOptionsTest, InvalidOptionsRejectedOnRead) {
   std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
+  write_gds(ss, clip_library(demo_clip()));
   GdsReadOptions options;
   options.max_record_bytes = 2;
   EXPECT_THROW(read_gds(ss, options), hsdl::CheckError);
 }
 
 TEST(GdsReadOptionsTest, LayerFilterKeepsOnlyThatLayer) {
-  GdsLibrary lib = clip_to_gds(demo_clip(), 1);
+  GdsLibrary lib = clip_library(demo_clip(), 1);
   lib.cells[0].boundaries.push_back(
       Polygon::from_rect(Rect::from_xywh(0, 0, 10, 10)));
   lib.cells[0].layers.push_back(2);
@@ -314,7 +331,7 @@ TEST(GdsReadOptionsTest, LayerFilterKeepsOnlyThatLayer) {
 
 TEST(GdsReadOptionsTest, MaxRecordBytesBoundsRecords) {
   std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
+  write_gds(ss, clip_library(demo_clip()));
   GdsReadOptions options;
   options.max_record_bytes = 16;  // BGNLIB timestamps are 28 bytes
   EXPECT_THROW(read_gds(ss, options), hsdl::CheckError);
@@ -330,7 +347,7 @@ TEST(GdsReadOptionsTest, StrictModeAcceptsOwnOutput) {
 
 TEST(GdsReadOptionsTest, StrictModeRejectsUnknownRecords) {
   std::stringstream ss;
-  write_gds(ss, clip_to_gds(demo_clip()));
+  write_gds(ss, clip_library(demo_clip()));
   std::string data = ss.str();
   const std::string unknown = {0x00, 0x04, 0x0C, 0x00};
   data.insert(data.size() - 4, unknown);
@@ -338,21 +355,6 @@ TEST(GdsReadOptionsTest, StrictModeRejectsUnknownRecords) {
   GdsReadOptions options;
   options.skip_unknown = false;
   EXPECT_THROW(read_gds(patched, options), hsdl::CheckError);
-}
-
-TEST(GdsReadOptionsTest, KeepHierarchyFalseReturnsFlatTop) {
-  std::stringstream ss;
-  write_gds(ss, hierarchical_lib());
-  GdsReadOptions options;
-  options.keep_hierarchy = false;
-  GdsLibrary loaded = read_gds(ss, options);
-  ASSERT_EQ(loaded.cells.size(), 1u);
-  EXPECT_TRUE(loaded.cells[0].refs.empty());
-  auto flat = loaded.cells[0].rects_on_layer(1);
-  auto want = flatten_cell(hierarchical_lib(), "TOP", 1);
-  std::sort(flat.begin(), flat.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(flat, want);
 }
 
 TEST(GdsiiSrefTest, ArefRoundTripsThroughWriteRead) {
@@ -406,6 +408,77 @@ TEST(GdsiiSrefTest, FlattenInstanceBlowupGuarded) {
   top.refs.push_back({"UNIT", {0, 0}, 4096, 4097, 10, 10});
   lib.cells = {unit, top};
   EXPECT_THROW(flatten_cell(lib, "TOP", 1), hsdl::CheckError);
+}
+
+/// Rectilinear staircase ring with 2 * steps + 2 vertices.
+Polygon staircase(int steps) {
+  std::vector<geom::Point> ring = {{0, 0}};
+  for (int i = 0; i < steps; ++i) {
+    ring.push_back({i + 1, i});
+    ring.push_back({i + 1, i + 1});
+  }
+  ring.push_back({0, steps});
+  return Polygon(std::move(ring));
+}
+
+TEST(GdsiiTest, LongestBoundaryRoundTrips) {
+  // 8190 vertices + the closing one fill an XY record of 65528 bytes,
+  // the most the 16-bit record length field can frame.
+  GdsLibrary lib;
+  GdsCell cell;
+  cell.name = "STAIRS";
+  cell.boundaries.push_back(staircase(4094));
+  cell.layers.push_back(1);
+  lib.cells.push_back(cell);
+  std::stringstream ss;
+  write_gds(ss, lib);
+  const GdsLibrary loaded = read_gds(ss);
+  ASSERT_EQ(loaded.cells[0].boundaries.size(), 1u);
+  EXPECT_EQ(loaded.cells[0].boundaries[0].ring().size(), 8190u);
+}
+
+TEST(GdsiiTest, WriterRejectsUnrepresentableLibraries) {
+  // Each library holds one value GDSII cannot carry: a coordinate or
+  // an AREF end point outside int32, or a record past the 16-bit length
+  // field. write_gds refuses it before writing a byte.
+  std::vector<std::pair<std::string, GdsLibrary>> cases;
+  {
+    GdsLibrary lib = clip_library(demo_clip());
+    lib.cells[0].boundaries.push_back(Polygon::from_rect(
+        Rect::from_xywh(geom::Coord{1} << 32, 0, 10, 10)));
+    lib.cells[0].layers.push_back(1);
+    cases.emplace_back("coordinate beyond int32", lib);
+  }
+  {
+    GdsLibrary lib = hierarchical_lib();
+    lib.cells[2].refs.push_back({"PAIR", {0, 0}});
+    lib.cells[2].refs.back().at.y = -(geom::Coord{1} << 31) - 1;
+    cases.emplace_back("SREF origin below int32", lib);
+  }
+  {
+    GdsLibrary lib = hierarchical_lib();
+    // Origin and pitch fit, but the end point 0 + 2 * 2e9 does not.
+    lib.cells[2].refs.push_back({"VIA", {0, 0}, 2, 1, 2'000'000'000, 0});
+    cases.emplace_back("AREF end point beyond int32", lib);
+  }
+  {
+    GdsLibrary lib;
+    GdsCell cell;
+    cell.name = "STAIRS";
+    cell.boundaries.push_back(staircase(4095));  // 8192 vertices
+    cell.layers.push_back(1);
+    lib.cells.push_back(cell);
+    cases.emplace_back("boundary of 8192 vertices", lib);
+  }
+  {
+    GdsLibrary lib = clip_library(demo_clip(), 1, std::string(70000, 'N'));
+    cases.emplace_back("70000-byte cell name", lib);
+  }
+  for (const auto& [what, lib] : cases) {
+    std::ostringstream os;
+    EXPECT_THROW(write_gds(os, lib), hsdl::CheckError) << what;
+    EXPECT_TRUE(os.str().empty()) << what << ": partial stream written";
+  }
 }
 
 }  // namespace
