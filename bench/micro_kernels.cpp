@@ -107,6 +107,57 @@ void BM_FeatureTensorExtract(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureTensorExtract)->Arg(16)->Arg(32)->Arg(64);
 
+// Extraction stage per window at the paper configuration (600x600 px,
+// n=12, k=32), split by front-end so one run compares them: the clip
+// overload builds column runs from the shapes, the raster path fills a
+// reused raster first and then finds the runs by comparing columns.
+// RasterizeOnly isolates the fill. Items are windows.
+std::vector<layout::Clip> stage_clips() {
+  std::vector<layout::Clip> clips;
+  for (std::uint64_t i = 0; i < 32; ++i) clips.push_back(demo_clip(200 + i));
+  return clips;
+}
+
+void BM_ExtractStageClipPath(benchmark::State& state) {
+  const std::vector<layout::Clip> clips = stage_clips();
+  fte::FeatureTensorExtractor ex;
+  std::vector<float> out(32 * 12 * 12);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ex.extract_into(clips[i++ % clips.size()], out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExtractStageClipPath);
+
+void BM_ExtractStageRasterizeOnly(benchmark::State& state) {
+  const std::vector<layout::Clip> clips = stage_clips();
+  layout::MaskImage raster;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    layout::rasterize_into(clips[i++ % clips.size()], 2.0, raster);
+    benchmark::DoNotOptimize(raster.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExtractStageRasterizeOnly);
+
+void BM_ExtractStageRasterPath(benchmark::State& state) {
+  const std::vector<layout::Clip> clips = stage_clips();
+  fte::FeatureTensorExtractor ex;
+  layout::MaskImage raster;
+  std::vector<float> out(32 * 12 * 12);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    layout::rasterize_into(clips[i++ % clips.size()], 2.0, raster);
+    ex.extract_into(raster, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExtractStageRasterPath);
+
 // Arg pair (clips, threads); threads = 0 uses the hardware default.
 void BM_FeatureTensorBatch(benchmark::State& state) {
   std::vector<layout::Clip> clips;

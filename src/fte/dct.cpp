@@ -1,5 +1,6 @@
 #include "fte/dct.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -53,152 +54,45 @@ class Scratch {
   float* ptr_ = stack_;
 };
 
-/// dst[x] += c * src[x]. Separate multiply + add in both variants (the
-/// AVX2 target deliberately excludes FMA) so every element rounds like the
-/// scalar reference loop in partial().
-void band_axpy_scalar(float* dst, const float* src, float c, std::size_t n) {
-  for (std::size_t x = 0; x < n; ++x) dst[x] += c * src[x];
+// Pass 1 twins for one column: one 8-lane accumulator holds every
+// frequency row while the B values stream by in ascending y, one multiply
+// and one add per term (the AVX2 target excludes FMA), so the twins agree
+// bitwise with each other and with partial(). A zero value is skipped:
+// its term is +-0, and a sum that starts at +0 is never -0 under
+// round-to-nearest, so adding it is a bitwise no-op.
+
+bool column_pass1_scalar(const float* col, std::size_t B,
+                         const float* basis_t, float* acc) {
+  bool nonzero = false;
+  for (std::size_t m = 0; m < DctPlan::kTransposedStride; ++m) acc[m] = 0.0f;
+  for (std::size_t y = 0; y < B; ++y) {
+    if (col[y] == 0.0f) continue;
+    nonzero = true;
+    for (std::size_t m = 0; m < DctPlan::kTransposedStride; ++m)
+      acc[m] += basis_t[y * DctPlan::kTransposedStride + m] * col[y];
+  }
+  return nonzero;
 }
 
 #ifdef HSDL_DCT_AVX2
-__attribute__((target("avx2"))) void band_axpy_avx2(float* dst,
-                                                    const float* src, float c,
-                                                    std::size_t n) {
-  const __m256 cv = _mm256_set1_ps(c);
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const __m256 prod = _mm256_mul_ps(cv, _mm256_loadu_ps(src + x));
-    _mm256_storeu_ps(dst + x, _mm256_add_ps(_mm256_loadu_ps(dst + x), prod));
+__attribute__((target("avx2"))) bool column_pass1_avx2(const float* col,
+                                                       std::size_t B,
+                                                       const float* basis_t,
+                                                       float* acc) {
+  bool nonzero = false;
+  __m256 a = _mm256_setzero_ps();
+  for (std::size_t y = 0; y < B; ++y) {
+    if (col[y] == 0.0f) continue;
+    nonzero = true;
+    const __m256 prod =
+        _mm256_mul_ps(_mm256_loadu_ps(basis_t + y * DctPlan::kTransposedStride),
+                      _mm256_set1_ps(col[y]));
+    a = _mm256_add_ps(a, prod);
   }
-  for (; x < n; ++x) dst[x] += c * src[x];
+  _mm256_storeu_ps(acc, a);
+  return nonzero;
 }
 #endif
-
-inline void band_axpy(float* dst, const float* src, float c, std::size_t n) {
-#ifdef HSDL_DCT_AVX2
-  if (cpu::has_avx2_fma()) {
-    band_axpy_avx2(dst, src, c, n);
-    return;
-  }
-#endif
-  band_axpy_scalar(dst, src, c, n);
-}
-
-// ---------------------------------------------------------------------------
-// Register-blocked pass 1 for the serving corner sizes (kp <= 8).
-//
-// The per-m axpy sweep above streams the band once per frequency row —
-// kp full passes over B x width pixels. The blocked kernels below walk
-// the band once total: for each column tile they hold all kp partial
-// sums in registers while the B source rows stream by. Per output
-// element the arithmetic is unchanged — ascending y, one multiply and
-// one add per term — so the result is bitwise identical to the sweep;
-// only the loop nest (and the number of source loads) differs.
-
-template <std::size_t KP>
-void band_pass1_scalar(const float* rows, std::size_t width, std::size_t B,
-                       const float* basis, float* tmp) {
-  for (std::size_t x = 0; x < width; ++x) {
-    float acc[KP] = {};
-    for (std::size_t y = 0; y < B; ++y) {
-      const float v = rows[y * width + x];
-      for (std::size_t m = 0; m < KP; ++m) acc[m] += basis[m * B + y] * v;
-    }
-    for (std::size_t m = 0; m < KP; ++m) tmp[m * width + x] = acc[m];
-  }
-}
-
-#ifdef HSDL_DCT_AVX2
-template <std::size_t KP>
-__attribute__((target("avx2"))) void band_pass1_avx2(const float* rows,
-                                                     std::size_t width,
-                                                     std::size_t B,
-                                                     const float* basis,
-                                                     float* tmp) {
-  std::size_t x = 0;
-  // Two tiles per sweep where the register budget allows (2*KP partial
-  // sums + two source vectors + one broadcast must fit in 16 ymm regs):
-  // each basis broadcast then feeds 16 lanes instead of 8.
-  if constexpr (KP <= 6) {
-    for (; x + 16 <= width; x += 16) {
-      __m256 acc0[KP], acc1[KP];
-      for (std::size_t m = 0; m < KP; ++m) {
-        acc0[m] = _mm256_setzero_ps();
-        acc1[m] = _mm256_setzero_ps();
-      }
-      for (std::size_t y = 0; y < B; ++y) {
-        const __m256 v0 = _mm256_loadu_ps(rows + y * width + x);
-        const __m256 v1 = _mm256_loadu_ps(rows + y * width + x + 8);
-        for (std::size_t m = 0; m < KP; ++m) {
-          const __m256 b = _mm256_set1_ps(basis[m * B + y]);
-          acc0[m] = _mm256_add_ps(acc0[m], _mm256_mul_ps(b, v0));
-          acc1[m] = _mm256_add_ps(acc1[m], _mm256_mul_ps(b, v1));
-        }
-      }
-      for (std::size_t m = 0; m < KP; ++m) {
-        _mm256_storeu_ps(tmp + m * width + x, acc0[m]);
-        _mm256_storeu_ps(tmp + m * width + x + 8, acc1[m]);
-      }
-    }
-  }
-  for (; x + 8 <= width; x += 8) {
-    __m256 acc[KP];
-    for (std::size_t m = 0; m < KP; ++m) acc[m] = _mm256_setzero_ps();
-    for (std::size_t y = 0; y < B; ++y) {
-      const __m256 v = _mm256_loadu_ps(rows + y * width + x);
-      for (std::size_t m = 0; m < KP; ++m) {
-        const __m256 prod = _mm256_mul_ps(_mm256_set1_ps(basis[m * B + y]), v);
-        acc[m] = _mm256_add_ps(acc[m], prod);
-      }
-    }
-    for (std::size_t m = 0; m < KP; ++m)
-      _mm256_storeu_ps(tmp + m * width + x, acc[m]);
-  }
-  for (; x < width; ++x) {
-    float acc[KP] = {};
-    for (std::size_t y = 0; y < B; ++y) {
-      const float v = rows[y * width + x];
-      for (std::size_t m = 0; m < KP; ++m) acc[m] += basis[m * B + y] * v;
-    }
-    for (std::size_t m = 0; m < KP; ++m) tmp[m * width + x] = acc[m];
-  }
-}
-#endif
-
-using BandPass1Fn = void (*)(const float*, std::size_t, std::size_t,
-                             const float*, float*);
-
-template <std::size_t KP>
-constexpr BandPass1Fn pass1_scalar_fn() {
-  return &band_pass1_scalar<KP>;
-}
-
-BandPass1Fn select_pass1(std::size_t kp) {
-#ifdef HSDL_DCT_AVX2
-  if (cpu::has_avx2_fma()) {
-    switch (kp) {
-      case 1: return &band_pass1_avx2<1>;
-      case 2: return &band_pass1_avx2<2>;
-      case 3: return &band_pass1_avx2<3>;
-      case 4: return &band_pass1_avx2<4>;
-      case 5: return &band_pass1_avx2<5>;
-      case 6: return &band_pass1_avx2<6>;
-      case 7: return &band_pass1_avx2<7>;
-      default: return &band_pass1_avx2<8>;
-    }
-  }
-#endif
-  switch (kp) {
-    case 1: return pass1_scalar_fn<1>();
-    case 2: return pass1_scalar_fn<2>();
-    case 3: return pass1_scalar_fn<3>();
-    case 4: return pass1_scalar_fn<4>();
-    case 5: return pass1_scalar_fn<5>();
-    case 6: return pass1_scalar_fn<6>();
-    case 7: return pass1_scalar_fn<7>();
-    default: return pass1_scalar_fn<8>();
-  }
-}
 
 // Pass 2 twins: one 8-lane accumulator per frequency row covers every n
 // at once (basis_t rows are zero-padded to kTransposedStride), and one
@@ -208,14 +102,13 @@ BandPass1Fn select_pass1(std::size_t kp) {
 // like the scalar dot in partial(), so scalar and AVX2 agree bitwise.
 
 template <std::size_t MP>
-void corner_pass2_scalar(const float* tmp, std::size_t width, std::size_t x0,
-                         std::size_t B, std::size_t kp, const float* basis_t,
-                         float* out) {
+void corner_pass2_scalar(const float* tmp, std::size_t x0, std::size_t B,
+                         std::size_t kp, const float* basis_t, float* out) {
   float acc[MP][8] = {};
   for (std::size_t x = 0; x < B; ++x) {
     const float* bt = basis_t + x * DctPlan::kTransposedStride;
     for (std::size_t m = 0; m < MP; ++m) {
-      const float t = tmp[m * width + x0 + x];
+      const float t = tmp[(x0 + x) * DctPlan::kTransposedStride + m];
       for (std::size_t n = 0; n < 8; ++n) acc[m][n] += t * bt[n];
     }
   }
@@ -226,16 +119,16 @@ void corner_pass2_scalar(const float* tmp, std::size_t width, std::size_t x0,
 #ifdef HSDL_DCT_AVX2
 template <std::size_t MP>
 __attribute__((target("avx2"))) void corner_pass2_avx2(
-    const float* tmp, std::size_t width, std::size_t x0, std::size_t B,
-    std::size_t kp, const float* basis_t, float* out) {
+    const float* tmp, std::size_t x0, std::size_t B, std::size_t kp,
+    const float* basis_t, float* out) {
   __m256 acc[MP];
   for (std::size_t m = 0; m < MP; ++m) acc[m] = _mm256_setzero_ps();
   for (std::size_t x = 0; x < B; ++x) {
     const __m256 bt =
         _mm256_loadu_ps(basis_t + x * DctPlan::kTransposedStride);
     for (std::size_t m = 0; m < MP; ++m) {
-      const __m256 prod =
-          _mm256_mul_ps(_mm256_set1_ps(tmp[m * width + x0 + x]), bt);
+      const __m256 prod = _mm256_mul_ps(
+          _mm256_set1_ps(tmp[(x0 + x) * DctPlan::kTransposedStride + m]), bt);
       acc[m] = _mm256_add_ps(acc[m], prod);
     }
   }
@@ -248,34 +141,22 @@ __attribute__((target("avx2"))) void corner_pass2_avx2(
 #endif
 
 using CornerPass2Fn = void (*)(const float*, std::size_t, std::size_t,
-                               std::size_t, std::size_t, const float*,
-                               float*);
+                               std::size_t, const float*, float*);
 
 CornerPass2Fn select_pass2(std::size_t mp) {
 #ifdef HSDL_DCT_AVX2
-  if (cpu::has_avx2_fma()) {
-    switch (mp) {
-      case 1: return &corner_pass2_avx2<1>;
-      case 2: return &corner_pass2_avx2<2>;
-      case 3: return &corner_pass2_avx2<3>;
-      case 4: return &corner_pass2_avx2<4>;
-      case 5: return &corner_pass2_avx2<5>;
-      case 6: return &corner_pass2_avx2<6>;
-      case 7: return &corner_pass2_avx2<7>;
-      default: return &corner_pass2_avx2<8>;
-    }
-  }
+  static constexpr CornerPass2Fn kAvx2[] = {
+      &corner_pass2_avx2<1>, &corner_pass2_avx2<2>, &corner_pass2_avx2<3>,
+      &corner_pass2_avx2<4>, &corner_pass2_avx2<5>, &corner_pass2_avx2<6>,
+      &corner_pass2_avx2<7>, &corner_pass2_avx2<8>};
+  if (cpu::has_avx2_fma()) return kAvx2[mp - 1];
 #endif
-  switch (mp) {
-    case 1: return &corner_pass2_scalar<1>;
-    case 2: return &corner_pass2_scalar<2>;
-    case 3: return &corner_pass2_scalar<3>;
-    case 4: return &corner_pass2_scalar<4>;
-    case 5: return &corner_pass2_scalar<5>;
-    case 6: return &corner_pass2_scalar<6>;
-    case 7: return &corner_pass2_scalar<7>;
-    default: return &corner_pass2_scalar<8>;
-  }
+  static constexpr CornerPass2Fn kScalar[] = {
+      &corner_pass2_scalar<1>, &corner_pass2_scalar<2>,
+      &corner_pass2_scalar<3>, &corner_pass2_scalar<4>,
+      &corner_pass2_scalar<5>, &corner_pass2_scalar<6>,
+      &corner_pass2_scalar<7>, &corner_pass2_scalar<8>};
+  return kScalar[mp - 1];
 }
 
 }  // namespace
@@ -314,32 +195,28 @@ void DctPlan::partial(const float* in, std::size_t kp, float* out) const {
   }
 }
 
-void DctPlan::partial_band(const float* rows, std::size_t width,
-                           std::size_t kp, float* tmp) const {
-  HSDL_CHECK(kp > 0 && kp <= block_);
-  const std::size_t B = block_;
-  if (kp <= 8) {
-    select_pass1(kp)(rows, width, B, basis_.data(), tmp);
-    return;
-  }
-  // Wide corners (only reachable from exotic configs): the original
-  // per-m axpy sweep, same y-ascending accumulation per element.
-  for (std::size_t m = 0; m < kp; ++m) {
-    const float* cm = &basis_[m * B];
-    float* trow = tmp + m * width;
-    for (std::size_t x = 0; x < width; ++x) trow[x] = 0.0f;
-    for (std::size_t y = 0; y < B; ++y)
-      band_axpy(trow, rows + y * width, cm[y], width);
-  }
+bool DctPlan::column_run_pass1(const float* col, const float* basis_t,
+                               float* band, std::size_t x0,
+                               std::size_t x1) const {
+  float acc[kTransposedStride];
+#ifdef HSDL_DCT_AVX2
+  const bool nonzero = cpu::has_avx2_fma()
+                           ? column_pass1_avx2(col, block_, basis_t, acc)
+                           : column_pass1_scalar(col, block_, basis_t, acc);
+#else
+  const bool nonzero = column_pass1_scalar(col, block_, basis_t, acc);
+#endif
+  for (std::size_t x = x0; x < x1; ++x)
+    std::copy_n(acc, kTransposedStride, band + x * kTransposedStride);
+  return nonzero;
 }
 
-void DctPlan::partial_corner_from_band(const float* tmp, std::size_t width,
-                                       std::size_t x0, std::size_t kp,
-                                       std::size_t mp, const float* basis_t,
+void DctPlan::partial_corner_from_band(const float* band, std::size_t x0,
+                                       std::size_t kp, std::size_t mp,
+                                       const float* basis_t,
                                        float* out) const {
-  const std::size_t B = block_;
   HSDL_CHECK(kp > 0 && kp <= 8 && mp > 0 && mp <= kp);
-  select_pass2(mp)(tmp, width, x0, B, kp, basis_t, out);
+  select_pass2(mp)(band, x0, block_, kp, basis_t, out);
 }
 
 void DctPlan::transpose_corner_basis(std::size_t kp, float* bt) const {

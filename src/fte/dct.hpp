@@ -43,43 +43,42 @@ class DctPlan {
 
   // --- Banded fast path -----------------------------------------------
   // Feature extraction runs partial() on every BxB block of a raster. The
-  // column pass (pass 1) only ever combines pixels within one raster band
-  // of B rows, so it can run once over the whole band instead of once per
-  // gathered block copy; the row pass then reads its block's columns out
-  // of the band. Each output element accumulates the same terms in the
-  // same order as partial(), so the results are bitwise identical — the
-  // band just removes the per-block gather and vectorizes across columns
-  // (element-independent multiply+add, which cannot change per-element
-  // rounding). For kp <= 8 pass 1 runs register-blocked: all kp partial
-  // sums live in registers while the band streams by once, instead of kp
-  // sweeps over the band.
+  // column pass (pass 1) only combines pixels within one column of one
+  // band of B rows, so it runs once per *column run* — a stretch of
+  // bitwise-identical columns — and its frequency values are broadcast
+  // across the run into an x-major band buffer (one 8-lane vector per
+  // column). The row pass (pass 2) then reads each block's columns out of
+  // the band. Each output element accumulates the same terms in the same
+  // order as partial(), so the results are bitwise identical; a Manhattan
+  // clip has a handful of distinct columns per band, so pass 1 all but
+  // disappears.
 
-  /// Row stride of the zero-padded transposed basis used by pass 2 (and
-  /// its lane count: one 8-wide vector covers every n of a kp <= 8
-  /// corner).
+  /// Row stride of the zero-padded transposed basis used by both passes
+  /// (and its lane count: one 8-wide vector covers every frequency of a
+  /// kp <= 8 corner).
   static constexpr std::size_t kTransposedStride = 8;
 
-  /// Pass 1 over a band: rows is B x width row-major (B = block_size()),
-  /// tmp is kp x width with tmp[m*width + x] = sum_y C[m][y]*rows[y*width+x].
-  /// Callers that only consume a prefix of frequency rows (the zig-zag
-  /// prefix rarely needs the full corner height) can pass that smaller
-  /// row count as kp.
-  void partial_band(const float* rows, std::size_t width, std::size_t kp,
-                    float* tmp) const;
+  /// Pass 1 for one column run: transforms the B values of `col` into
+  /// band[x*kTransposedStride + m] = sum_y C[m][y]*col[y] for every lane m
+  /// and every x in [x0, x1) (lanes m >= kp are 0). Accumulates ascending
+  /// y, one multiply and one add per term, like partial(). `basis_t`
+  /// comes from transpose_corner_basis(kp). Returns false when every value
+  /// of `col` is zero: the run's band values are then all +0.
+  bool column_run_pass1(const float* col, const float* basis_t, float* band,
+                        std::size_t x0, std::size_t x1) const;
 
   /// Pass 2 for the block whose columns start at x0: out[m*kp + n] =
-  /// sum_x tmp[m*width + x0 + x] * C[n][x], accumulated x-ascending like
-  /// partial(), for the first `mp` frequency rows (mp <= kp; rows beyond
-  /// mp are left untouched). `basis_t` comes from
+  /// sum_x band[(x0 + x)*kTransposedStride + m] * C[n][x], accumulated
+  /// x-ascending like partial(), for the first `mp` frequency rows
+  /// (mp <= kp; rows beyond mp are left untouched). `basis_t` comes from
   /// transpose_corner_basis(). Requires kp <= 8.
-  void partial_corner_from_band(const float* tmp, std::size_t width,
-                                std::size_t x0, std::size_t kp,
-                                std::size_t mp, const float* basis_t,
-                                float* out) const;
+  void partial_corner_from_band(const float* band, std::size_t x0,
+                                std::size_t kp, std::size_t mp,
+                                const float* basis_t, float* out) const;
 
   /// Fills bt (B x kTransposedStride row-major, zero-padded) with
   /// bt[x*kTransposedStride + n] = basis[n][x] for n < kp: the transposed
-  /// corner basis pass 2 reads with stride-1 x-major access. Requires
+  /// corner basis both passes read with stride-1 x-major access. Requires
   /// kp <= 8.
   void transpose_corner_basis(std::size_t kp, float* bt) const;
 

@@ -1,6 +1,9 @@
 #include "fte/feature_tensor.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
@@ -57,54 +60,160 @@ const DctPlan& FeatureTensorExtractor::plan_for(std::size_t block) const {
   return *fresh;
 }
 
-std::size_t FeatureTensorExtractor::block_px(
-    const layout::MaskImage& raster) const {
-  const std::size_t n = config_.blocks_per_side;
-  HSDL_CHECK_MSG(raster.width() == raster.height(),
+namespace {
+
+/// Checks a width x height pixel grid and the `out` size against the
+/// config; returns the block side B.
+std::size_t checked_block(const FeatureTensorConfig& cfg, std::size_t width,
+                          std::size_t height, std::size_t out_size) {
+  const std::size_t n = cfg.blocks_per_side;
+  const std::size_t k = cfg.coeffs;
+  HSDL_CHECK_MSG(width == height,
                  "feature tensor extraction expects a square raster, got "
-                     << raster.width() << "x" << raster.height());
-  HSDL_CHECK_MSG(raster.width() % n == 0,
-                 "raster side " << raster.width()
-                                << " is not divisible into " << n
-                                << " blocks");
-  return raster.width() / n;
+                     << width << "x" << height);
+  HSDL_CHECK_MSG(width % n == 0, "raster side " << width
+                                                << " is not divisible into "
+                                                << n << " blocks");
+  const std::size_t B = width / n;
+  HSDL_CHECK_MSG(k <= B * B, "cannot keep " << k << " coefficients from a "
+                                            << B << "x" << B << " block");
+  HSDL_CHECK_MSG(out_size == k * n * n,
+                 "extract_into expects " << k * n * n << " floats, got "
+                                         << out_size);
+  return B;
 }
+
+/// The banded path handles every corner size the zig-zag prefix of a real
+/// config produces (kp <= 8 covers k <= 36); exotic test configs and
+/// reference mode take the original per-block path.
+bool use_reference(std::size_t block, std::size_t k) {
+  return runtime::reference_mode() ||
+         cached_corner_for_prefix(block, k) > DctPlan::kTransposedStride;
+}
+
+FeatureTensor zero_tensor(const FeatureTensorConfig& cfg) {
+  const std::size_t n = cfg.blocks_per_side, k = cfg.coeffs;
+  return {n, k, std::vector<float>(k * n * n, 0.0f)};
+}
+
+void count_tensor(std::size_t n) {
+  if (!metrics::enabled()) return;
+  static metrics::Counter& tensors = metrics::counter("fte.tensors");
+  static metrics::Counter& blocks = metrics::counter("fte.dct_blocks");
+  tensors.increment();
+  blocks.add(static_cast<std::uint64_t>(n) * n);
+}
+
+/// The banded pipeline both front-ends share. For each band of B pixel
+/// rows starting at row y0, `fill_band(y0, emit)` describes the band as
+/// consecutive column runs covering [0, width): it calls emit(col, x0, x1)
+/// with the B values every column of [x0, x1) holds. Pass 1 runs once per
+/// run, pass 2 and the zig-zag epilogue once per block — except on blocks
+/// every column of which is zero: their band values are all +0, which
+/// makes every corner sum +0, so those blocks are written as +0 directly.
+template <class FillBand>
+void extract_banded(const DctPlan& plan, const FeatureTensorConfig& cfg,
+                    std::size_t width, FillBand&& fill_band,
+                    std::span<float> out) {
+  const std::size_t n = cfg.blocks_per_side;
+  const std::size_t k = cfg.coeffs;
+  const std::size_t B = plan.block_size();
+  const std::size_t kp = cached_corner_for_prefix(B, k);
+
+  // The zig-zag prefix, resolved once per extract instead of once per
+  // block (zigzag_take re-derives the walk — and allocates — per call).
+  // Its row extent also caps the pass-2 work: the first k positions of a
+  // kp x kp corner rarely reach row kp-1 (16 coefficients of a 6x6 corner
+  // top out at row 4), and rows the scan never reads need not be
+  // transformed at all.
+  thread_local std::vector<std::pair<std::size_t, std::size_t>> order;
+  thread_local std::size_t order_kp = 0;
+  if (order_kp != kp) {
+    order = zigzag_order(kp);
+    order_kp = kp;
+  }
+  std::size_t mp = 0;
+  for (std::size_t c = 0; c < k; ++c)
+    mp = std::max(mp, order[c].first + 1);
+
+  // Thread-local scratch: extract_batch runs this on pool threads; each
+  // buffer is fully (re)written per call, and resize() is a no-op once
+  // warm, so batches run allocation-free.
+  thread_local std::vector<float> band, basis_t, corner;
+  thread_local std::vector<char> live;
+  band.resize(width * DctPlan::kTransposedStride);
+  basis_t.resize(B * DctPlan::kTransposedStride);
+  corner.resize(kp * kp);
+  plan.transpose_corner_basis(kp, basis_t.data());
+  const auto emit = [&](const float* col, std::size_t x0, std::size_t x1) {
+    if (plan.column_run_pass1(col, basis_t.data(), band.data(), x0, x1))
+      std::fill(live.begin() + x0 / B, live.begin() + (x1 - 1) / B + 1, 1);
+  };
+
+  const float scale = cfg.normalize ? 1.0f / static_cast<float>(B) : 1.0f;
+  for (std::size_t by = 0; by < n; ++by) {
+    live.assign(n, 0);
+    fill_band(by * B, emit);
+    for (std::size_t bx = 0; bx < n; ++bx) {
+      if (!live[bx]) {
+        for (std::size_t c = 0; c < k; ++c) out[(c * n + by) * n + bx] = 0.0f;
+        continue;
+      }
+      plan.partial_corner_from_band(band.data(), bx * B, kp, mp,
+                                    basis_t.data(), corner.data());
+      for (std::size_t c = 0; c < k; ++c)
+        out[(c * n + by) * n + bx] =
+            corner[order[c].first * kp + order[c].second] * scale;
+    }
+  }
+}
+
+}  // namespace
 
 void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
                                           std::span<float> out) const {
   HSDL_TRACE_SPAN("fte.extract");
-  if (metrics::enabled()) {
-    static metrics::Counter& tensors = metrics::counter("fte.tensors");
-    static metrics::Counter& blocks = metrics::counter("fte.dct_blocks");
-    tensors.increment();
-    blocks.add(static_cast<std::uint64_t>(config_.blocks_per_side) *
-               config_.blocks_per_side);
-  }
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  const std::size_t B = block_px(raster);
-  HSDL_CHECK_MSG(k <= B * B, "cannot keep " << k << " coefficients from a "
-                                            << B << "x" << B << " block");
-  HSDL_CHECK_MSG(out.size() == k * n * n,
-                 "extract_into expects " << k * n * n << " floats, got "
-                                         << out.size());
-
-  // The banded path handles every corner size the zig-zag prefix of a
-  // real config produces (kp <= 8 covers k <= 36); exotic test configs and
-  // reference mode take the original per-block path.
-  const std::size_t kp = cached_corner_for_prefix(B, k);
-  if (runtime::reference_mode() || kp > 8) {
+  count_tensor(config_.blocks_per_side);
+  const std::size_t B =
+      checked_block(config_, raster.width(), raster.height(), out.size());
+  if (use_reference(B, config_.coeffs)) {
     extract_reference(raster, out);
-  } else {
-    extract_fast(raster, out);
+    return;
   }
+  // Raster front-end: column x starts a new run when it differs bitwise
+  // from column x-1 in any row of the band. A row identical to the one
+  // above it adds no such difference, so only the band's distinct rows
+  // are scanned.
+  const std::size_t width = raster.width();
+  thread_local std::vector<std::uint32_t> differs;
+  thread_local std::vector<float> col;
+  col.resize(B);
+  extract_banded(
+      plan_for(B), config_, width,
+      [&](std::size_t y0, const auto& emit) {
+        differs.assign(width, 0);
+        for (std::size_t y = y0; y < y0 + B; ++y) {
+          const float* r = raster.row(y);
+          if (y > y0 && std::memcmp(r, r - width, width * sizeof(float)) == 0)
+            continue;
+          for (std::size_t x = 1; x < width; ++x)
+            differs[x] |= std::bit_cast<std::uint32_t>(r[x]) ^
+                          std::bit_cast<std::uint32_t>(r[x - 1]);
+        }
+        for (std::size_t x0 = 0, x1 = 1; x0 < width; x0 = x1++) {
+          while (x1 < width && differs[x1] == 0) ++x1;
+          for (std::size_t y = 0; y < B; ++y) col[y] = raster.row(y0 + y)[x0];
+          emit(col.data(), x0, x1);
+        }
+      },
+      out);
 }
 
 void FeatureTensorExtractor::extract_reference(const layout::MaskImage& raster,
                                                std::span<float> out) const {
   const std::size_t n = config_.blocks_per_side;
   const std::size_t k = config_.coeffs;
-  const std::size_t B = block_px(raster);
+  const std::size_t B = raster.width() / n;  // checked by extract_into
   const DctPlan& plan = plan_for(B);
   // Partial DCT: only the corner covering the first k zig-zag positions.
   const std::size_t kp = cached_corner_for_prefix(B, k);
@@ -130,89 +239,71 @@ void FeatureTensorExtractor::extract_reference(const layout::MaskImage& raster,
   }
 }
 
-void FeatureTensorExtractor::extract_fast(const layout::MaskImage& raster,
-                                          std::span<float> out) const {
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  const std::size_t B = block_px(raster);
-  const std::size_t width = raster.width();
-  const DctPlan& plan = plan_for(B);
-  const std::size_t kp = cached_corner_for_prefix(B, k);
-
-  // The zig-zag prefix, resolved once per extract instead of once per
-  // block (zigzag_take re-derives the walk — and allocates — per call).
-  // Its row extent also caps the pass-1 work: the first k positions of a
-  // kp x kp corner rarely reach row kp-1 (16 coefficients of a 6x6 corner
-  // top out at row 4), and rows the scan never reads need not be
-  // transformed at all.
-  thread_local std::vector<std::pair<std::size_t, std::size_t>> order;
-  thread_local std::size_t order_kp = 0;
-  if (order_kp != kp) {
-    order = zigzag_order(kp);
-    order_kp = kp;
-  }
-  std::size_t mp = 0;
-  for (std::size_t c = 0; c < k; ++c)
-    mp = std::max(mp, order[c].first + 1);
-
-  // Thread-local scratch: extract_batch runs this on pool threads; each
-  // buffer is fully (re)written per call, and resize() is a no-op once
-  // warm, so batches run allocation-free.
-  thread_local std::vector<float> band, basis_t, corner;
-  band.resize(mp * width);
-  basis_t.resize(B * DctPlan::kTransposedStride);
-  corner.resize(kp * kp);
-  plan.transpose_corner_basis(kp, basis_t.data());
-
-  const float scale = config_.normalize ? 1.0f / static_cast<float>(B) : 1.0f;
-  for (std::size_t by = 0; by < n; ++by) {
-    // One column pass over the whole band of B raster rows replaces the
-    // per-block gather + column pass of the reference path.
-    plan.partial_band(raster.row(by * B), width, mp, band.data());
-    for (std::size_t bx = 0; bx < n; ++bx) {
-      plan.partial_corner_from_band(band.data(), width, bx * B, kp, mp,
-                                    basis_t.data(), corner.data());
-      for (std::size_t c = 0; c < k; ++c)
-        out[(c * n + by) * n + bx] =
-            corner[order[c].first * kp + order[c].second] * scale;
-    }
-  }
-}
-
 void FeatureTensorExtractor::extract_into(const layout::Clip& clip,
                                           std::span<float> out) const {
-  if (runtime::reference_mode()) {
+  const layout::PixelGrid grid =
+      layout::pixel_grid(clip.window, config_.nm_per_px);
+  const std::size_t B =
+      checked_block(config_, grid.width, grid.height, out.size());
+  if (use_reference(B, config_.coeffs)) {
     extract_into(layout::rasterize(clip, config_.nm_per_px), out);
     return;
   }
-  // Reuse one raster buffer per thread: rasterizing a serving window used
-  // to allocate (and fault in) a few hundred KB per clip, which dominated
-  // the profile alongside the DCT.
-  thread_local layout::MaskImage raster;
-  layout::rasterize_into(clip, config_.nm_per_px, raster);
-  extract_into(raster, out);
+  HSDL_TRACE_SPAN("fte.extract");
+  count_tensor(config_.blocks_per_side);
+  // Clip front-end: a band's columns can only change at the x-edges of the
+  // snapped shapes that reach into it. Between two edges a column is 1 on
+  // the rows the shapes spanning it cover — exactly the pixels
+  // rasterize() would set — and equal neighbours merge into one run.
+  thread_local std::vector<layout::PixelRect> rects, in_band;
+  thread_local std::vector<std::size_t> xs;
+  thread_local std::vector<float> cur, next;
+  rects.clear();
+  for (const geom::Rect& shape : clip.shapes)
+    if (const layout::PixelRect p = grid.snap(shape); !p.empty())
+      rects.push_back(p);
+  extract_banded(
+      plan_for(B), config_, grid.width,
+      [&](std::size_t y0, const auto& emit) {
+        in_band.clear();
+        xs.assign(1, 0);
+        for (const layout::PixelRect& r : rects) {
+          if (r.y1 <= y0 || r.y0 >= y0 + B) continue;
+          in_band.push_back({r.x0, r.x1, std::max(r.y0, y0) - y0,
+                             std::min(r.y1, y0 + B) - y0});
+          xs.insert(xs.end(), {r.x0, r.x1});
+        }
+        std::sort(xs.begin(), xs.end());
+        xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
+        cur.assign(B, 0.0f);
+        std::size_t run = 0;
+        for (const std::size_t x : xs) {
+          if (x == grid.width) break;
+          next.assign(B, 0.0f);
+          for (const layout::PixelRect& r : in_band)
+            if (r.x0 <= x && x < r.x1)
+              std::fill(next.begin() + r.y0, next.begin() + r.y1, 1.0f);
+          if (std::memcmp(next.data(), cur.data(), B * sizeof(float)) == 0)
+            continue;
+          if (x > run) emit(cur.data(), run, x);
+          run = x;
+          cur.swap(next);
+        }
+        emit(cur.data(), run, grid.width);
+      },
+      out);
 }
 
 FeatureTensor FeatureTensorExtractor::extract(
     const layout::MaskImage& raster) const {
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  FeatureTensor out;
-  out.n = n;
-  out.k = k;
-  out.data.assign(k * n * n, 0.0f);
+  FeatureTensor out = zero_tensor(config_);
   extract_into(raster, out.data);
   return out;
 }
 
 FeatureTensor FeatureTensorExtractor::extract(const layout::Clip& clip) const {
-  const std::size_t n = config_.blocks_per_side;
-  const std::size_t k = config_.coeffs;
-  FeatureTensor out;
-  out.n = n;
-  out.k = k;
-  out.data.assign(k * n * n, 0.0f);
-  extract_into(clip, out.data);  // clip overload reuses the raster buffer
+  FeatureTensor out = zero_tensor(config_);
+  extract_into(clip, out.data);
   return out;
 }
 

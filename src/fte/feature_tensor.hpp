@@ -55,14 +55,12 @@ class FeatureTensorExtractor {
 
   const FeatureTensorConfig& config() const { return config_; }
 
-  /// Pixels per block side for a given raster width.
-  std::size_t block_px(const layout::MaskImage& raster) const;
-
   /// Extract from a pre-rasterized clip. The raster must be square with a
   /// side divisible by n.
   FeatureTensor extract(const layout::MaskImage& raster) const;
 
-  /// Rasterizes at config().nm_per_px and extracts.
+  /// Extracts the tensor of the clip's raster at config().nm_per_px,
+  /// bitwise identical to extract(layout::rasterize(clip, nm_per_px)).
   FeatureTensor extract(const layout::Clip& clip) const;
 
   /// Extracts directly into caller-owned storage of exactly k*n*n floats,
@@ -73,7 +71,10 @@ class FeatureTensorExtractor {
   void extract_into(const layout::MaskImage& raster,
                     std::span<float> out) const;
 
-  /// Rasterizes at config().nm_per_px and extracts into `out`.
+  /// Extracts the clip into `out` straight from its shapes: each band's
+  /// column runs come from the snapped shape edges (layout::PixelGrid),
+  /// so no raster is ever filled. Bitwise identical to
+  /// extract_into(layout::rasterize(clip, config().nm_per_px), out).
   void extract_into(const layout::Clip& clip, std::span<float> out) const;
 
   /// Batched extraction, parallel over clips on the shared thread pool.
@@ -92,17 +93,11 @@ class FeatureTensorExtractor {
   const DctPlan& plan_for(std::size_t block) const;
 
   /// Original per-block path: gathers each block and runs DctPlan::partial
-  /// on the copy. Kept as the bitwise oracle for the banded fast path;
+  /// on the copy. Kept as the bitwise oracle for the banded path;
   /// reference mode (common/refmode.hpp) forces it, and it also serves
   /// corner cases the band cannot (kp > 8).
   void extract_reference(const layout::MaskImage& raster,
                          std::span<float> out) const;
-
-  /// Banded fast path: one column-pass per raster band, thread-local
-  /// scratch, vectorized inner loops. Bitwise identical to the reference
-  /// (see DctPlan::partial_band).
-  void extract_fast(const layout::MaskImage& raster,
-                    std::span<float> out) const;
 
   FeatureTensorConfig config_;
   // Plans are cached per block size (tests exercise several resolutions).

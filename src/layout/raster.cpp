@@ -64,46 +64,50 @@ MaskImage rasterize(const Clip& clip, double nm_per_px) {
   return img;
 }
 
-void rasterize_into(const Clip& clip, double nm_per_px, MaskImage& img) {
-  HSDL_CHECK(!clip.window.empty());
-  const double wpx = static_cast<double>(clip.window.width()) / nm_per_px;
-  const double hpx = static_cast<double>(clip.window.height()) / nm_per_px;
+PixelGrid pixel_grid(const geom::Rect& window, double nm_per_px) {
+  HSDL_CHECK(!window.empty());
+  const double wpx = static_cast<double>(window.width()) / nm_per_px;
+  const double hpx = static_cast<double>(window.height()) / nm_per_px;
   HSDL_CHECK_MSG(std::abs(wpx - std::round(wpx)) < 1e-9 &&
                      std::abs(hpx - std::round(hpx)) < 1e-9,
-                 "window " << clip.window.width() << "x"
-                           << clip.window.height()
+                 "window " << window.width() << "x" << window.height()
                            << " nm is not an integer number of pixels at "
                            << nm_per_px << " nm/px");
-  const auto width = static_cast<std::size_t>(std::llround(wpx));
-  const auto height = static_cast<std::size_t>(std::llround(hpx));
-  if (!img.try_span_clear(width, height, nm_per_px))
-    img.reset(width, height, nm_per_px);
-  img.mark_span_logged();
+  return {window, nm_per_px, static_cast<std::size_t>(std::llround(wpx)),
+          static_cast<std::size_t>(std::llround(hpx))};
+}
 
-  // Fill pixel spans per shape. Pixel centre of column x sits at
-  // window.lo.x + (x + 0.5) * pitch; it is covered by [r.lo.x, r.hi.x) iff
+PixelRect PixelGrid::snap(const geom::Rect& shape) const {
+  const geom::Rect r = shape.intersect(window);
+  if (r.empty()) return {};
+  // Pixel centre of column x sits at window.lo.x + (x + 0.5) * pitch; it
+  // is covered by [r.lo.x, r.hi.x) iff
   // ceil((r.lo.x - 0.5*p - lo) / p) <= x < ceil((r.hi.x - 0.5*p - lo) / p).
-  auto first_covered = [&](geom::Coord edge, geom::Coord lo) {
-    double v = (static_cast<double>(edge - lo)) / nm_per_px - 0.5;
-    auto c = static_cast<long long>(std::ceil(v - 1e-12));
-    return c;
+  auto first_covered = [&](geom::Coord edge, geom::Coord lo,
+                           std::size_t extent) {
+    const double v = static_cast<double>(edge - lo) / nm_per_px - 0.5;
+    const auto c = static_cast<long long>(std::ceil(v - 1e-12));
+    return static_cast<std::size_t>(
+        std::clamp(c, 0LL, static_cast<long long>(extent)));
   };
+  return {first_covered(r.lo.x, window.lo.x, width),
+          first_covered(r.hi.x, window.lo.x, width),
+          first_covered(r.lo.y, window.lo.y, height),
+          first_covered(r.hi.y, window.lo.y, height)};
+}
+
+void rasterize_into(const Clip& clip, double nm_per_px, MaskImage& img) {
+  const PixelGrid grid = pixel_grid(clip.window, nm_per_px);
+  if (!img.try_span_clear(grid.width, grid.height, nm_per_px))
+    img.reset(grid.width, grid.height, nm_per_px);
+  img.mark_span_logged();
   for (const geom::Rect& shape : clip.shapes) {
-    const geom::Rect r = shape.intersect(clip.window);
-    if (r.empty()) continue;
-    long long x0 = std::max(0LL, first_covered(r.lo.x, clip.window.lo.x));
-    long long x1 = std::min(static_cast<long long>(width),
-                            first_covered(r.hi.x, clip.window.lo.x));
-    long long y0 = std::max(0LL, first_covered(r.lo.y, clip.window.lo.y));
-    long long y1 = std::min(static_cast<long long>(height),
-                            first_covered(r.hi.y, clip.window.lo.y));
-    if (x0 >= x1) continue;
-    for (long long y = y0; y < y1; ++y) {
-      float* rowp = img.row(static_cast<std::size_t>(y));
-      std::fill(rowp + x0, rowp + x1, 1.0f);
-      img.record_span(static_cast<std::size_t>(y),
-                      static_cast<std::size_t>(x0),
-                      static_cast<std::size_t>(x1));
+    const PixelRect p = grid.snap(shape);
+    if (p.empty()) continue;
+    for (std::size_t y = p.y0; y < p.y1; ++y) {
+      float* rowp = img.row(y);
+      std::fill(rowp + p.x0, rowp + p.x1, 1.0f);
+      img.record_span(y, p.x0, p.x1);
     }
   }
 }

@@ -21,9 +21,9 @@ class MaskImage {
             float fill = 0.0f);
 
   /// Re-shapes this image in place and refills it with `fill`, keeping
-  /// the existing allocation when it is large enough. Serving paths keep
-  /// a thread-local MaskImage and reset() it per clip so rasterization
-  /// stops paying an allocation + page-fault per window.
+  /// the existing allocation when it is large enough, so a caller that
+  /// rasterizes many clips into one image stops paying an allocation +
+  /// page-fault per clip.
   void reset(std::size_t width, std::size_t height, double nm_per_px,
              float fill = 0.0f);
 
@@ -48,8 +48,8 @@ class MaskImage {
 
   // --- Span-logged fast clear (used by rasterize_into) -------------------
   //
-  // A serving thread re-rasterizes into the same image thousands of times
-  // per second, and the full refill in reset() costs more than the shape
+  // A loop that re-rasterizes into the same image thousands of times per
+  // second pays more for the full refill in reset() than for the shape
   // fills themselves. rasterize_into instead logs every span it sets to 1;
   // the next call then only has to zero those spans, because every other
   // pixel is still 0 from the previous round. The log is only trusted
@@ -76,12 +76,35 @@ class MaskImage {
   bool span_log_valid_ = false;
 };
 
-/// Rasterizes a clip to a binary mask (1 inside shapes, 0 outside).
+/// Pixels [x0, x1) x [y0, y1) of a window's pixel grid.
+struct PixelRect {
+  std::size_t x0 = 0, x1 = 0, y0 = 0, y1 = 0;
+  bool empty() const { return x0 >= x1 || y0 >= y1; }
+};
+
+/// The pixel grid of a clip window at a given pitch, and the one
+/// pixel-snapping rule every consumer of clip geometry shares.
 ///
 /// Pixel (x, y) covers the physical square
 /// [window.lo + x*pitch, +pitch) x [window.lo + y*pitch, +pitch); a pixel is
-/// set when its *centre* falls inside a shape, which keeps abutting shapes
-/// seamless. The window extent must be an integer multiple of the pitch.
+/// covered by a shape when its *centre* falls inside it, which keeps
+/// abutting shapes seamless.
+struct PixelGrid {
+  geom::Rect window;
+  double nm_per_px = 1.0;
+  std::size_t width = 0, height = 0;
+
+  /// The pixels whose centres `shape` (clipped to the window) covers;
+  /// empty when it covers none.
+  PixelRect snap(const geom::Rect& shape) const;
+};
+
+/// Throws CheckError unless the window is non-empty and an integer
+/// number of pixels on each side.
+PixelGrid pixel_grid(const geom::Rect& window, double nm_per_px);
+
+/// Rasterizes a clip to a binary mask: 1 on the pixels PixelGrid::snap
+/// assigns to some shape, 0 elsewhere.
 MaskImage rasterize(const Clip& clip, double nm_per_px);
 
 /// Allocation-free variant: rasterizes into `img`, reset() to the right

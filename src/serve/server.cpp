@@ -424,9 +424,12 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
     send_error(sock, ErrorCode::kShuttingDown, "server is draining");
     return;
   }
+  // Every exit releases the clips *before* answering, so a client retrying
+  // at once is never refused against its own finished request.
   QuotaGuard quota(*this, ctx.tenant, n);
   if (!begin_scoring(n)) {
     flight.error = static_cast<std::uint8_t>(ErrorCode::kBusy);
+    quota.release();
     send_busy(sock, "server at capacity (" +
                         std::to_string(config_.busy_max_inflight_clips) +
                         " in-flight clips)",
@@ -457,6 +460,7 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
     end_scoring(n);
     flight.score_ms = static_cast<float>(stage.millis());
     flight.error = static_cast<std::uint8_t>(ErrorCode::kBusy);
+    quota.release();
     send_busy(sock, e.what(), true);
     return;
   } catch (const std::bad_alloc&) {
@@ -467,6 +471,7 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
       std::lock_guard<std::mutex> lk(stats_mu_);
       ++stats_.internal_errors;
     }
+    quota.release();
     send_error(sock, ErrorCode::kInternal, "allocation failure while scoring");
     return;
   }
@@ -481,6 +486,7 @@ void HotspotServer::handle_score(Socket& sock, SessionCtx& ctx,
       std::lock_guard<std::mutex> lk(stats_mu_);
       ++stats_.internal_errors;
     }
+    quota.release();
     send_error(sock, ErrorCode::kInternal, "non-finite score");
     return;
   }

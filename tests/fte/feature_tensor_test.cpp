@@ -184,7 +184,7 @@ TEST(FeatureTensorTest, RejectsBadInputs) {
 
 TEST(FeatureTensorTest, BandedFastPathMatchesReferenceBitwise) {
   // The banded extraction path must reproduce the per-block reference
-  // path bit for bit (see DctPlan::partial_band).
+  // path bit for bit (see DctPlan::column_run_pass1).
   Clip clip = demo_clip();
   for (double nm_per_px : {2.0, 4.0}) {  // 50 px and 25 px blocks
     FeatureTensorConfig cfg;
@@ -202,8 +202,8 @@ TEST(FeatureTensorTest, BandedFastPathMatchesReferenceBitwise) {
 }
 
 TEST(FeatureTensorTest, ClipOverloadMatchesReferencePipeline) {
-  // The serving path (thread-local raster reuse + banded DCT) must equal
-  // the allocating reference pipeline exactly.
+  // The serving path (column runs straight from the shapes + banded DCT)
+  // must equal the allocating reference pipeline exactly.
   Clip clip = demo_clip();
   FeatureTensorExtractor ex;
   FeatureTensor fast = ex.extract(clip);
