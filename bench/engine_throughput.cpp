@@ -238,9 +238,9 @@ int main() {
     return best;
   };
   const hotspot::ScanReport per_clip_report =
-      best_scan([&] { return scanner.scan(chip, proxy); });
+      best_scan([&] { return scanner.scan(layout::FlatSource(chip), proxy); });
   const hotspot::ScanReport engine_report =
-      best_scan([&] { return scanner.scan(chip, engine); });
+      best_scan([&] { return scanner.scan(layout::FlatSource(chip), engine); });
 
   // -- (d) engine on the int8 model: same stream, quantized serving.
   // score_batch routes per call, so the already-running engine switches

@@ -154,7 +154,8 @@ int main() {
   const layout::Layout flat(hier.extent(), flat_rects);
   hotspot::InferenceEngine engine(detector);
   WallTimer timer;
-  const hotspot::ScanReport flat_report = scanner.scan(flat, engine);
+  const hotspot::ScanReport flat_report =
+      scanner.scan(layout::FlatSource(flat), engine);
   PhaseResult flat_phase;
   flat_phase.name = "flat";
   flat_phase.seconds = timer.seconds();

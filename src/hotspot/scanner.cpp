@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
@@ -24,17 +26,25 @@
 namespace hsdl::hotspot {
 namespace {
 
-/// Extracts and scores one band. With a cache the band runs in phases:
-/// reuse keys + cache probes per window, then an in-band dedup pass
-/// (the first window of each distinct key is the representative, later
-/// ones alias it — crucial on array-heavy chips where one band holds
-/// many congruent windows that the cache cannot serve yet because
-/// inserts land only after the band is scored), then extraction and one
-/// score_band call over the unique misses only, then scatter + cache
-/// fill. `parallel_extract` routes extraction through the global pool;
-/// shard workers pass false and extract serially on their own thread
-/// (the fork-join pool serializes top-level regions, so pool-routing
-/// shard extraction would just add contention).
+/// How many of one band's windows were served without being scored.
+struct BandReuse {
+  std::size_t deduped = 0;   ///< aliased to a congruent window in the band
+  std::size_t replayed = 0;  ///< CellScanCache hits
+};
+
+/// Extracts and scores one band into `probs` (row-major). The band runs
+/// in phases: reuse keys + cache probes per window (only with a cache;
+/// without one no key is computed, so every window is a miss), then an
+/// in-band dedup pass (the first window of each distinct key is the
+/// representative, later ones alias it — crucial on array-heavy chips
+/// where one band holds many congruent windows that the cache cannot
+/// serve yet because inserts land only after the band is scored), then
+/// extraction and one score_band call over the unique misses only, then
+/// scatter + cache fill. `parallel_extract` routes probing and
+/// extraction through the global pool; shard workers pass false and
+/// extract serially on their own thread (the fork-join pool serializes
+/// top-level regions, so pool-routing shard extraction would just add
+/// contention).
 ///
 /// Determinism: equal keys guarantee bitwise-identical normalized clips
 /// (the WindowKey contract) and the engine scores every sample
@@ -42,45 +52,30 @@ namespace {
 /// in-band duplicates — in row-major order — yields bitwise the same
 /// probabilities as extracting and scoring the full band.
 template <typename ScoreBand>
-void score_one_band(const ScanGrid& grid, std::size_t band_index,
-                    const layout::LayoutSource& source,
-                    ScoreBand&& score_band, CellScanCache* cache,
-                    bool parallel_extract, std::vector<layout::Clip>& band,
-                    std::vector<double>& probs, std::size_t& from_cache) {
+BandReuse score_one_band(const ScanGrid& grid, std::size_t band_index,
+                         const layout::LayoutSource& source,
+                         ScoreBand& score_band, CellScanCache* cache,
+                         bool parallel_extract,
+                         std::vector<layout::Clip>& band,
+                         std::vector<double>& probs) {
   const std::size_t row_lo = grid.band_row_begin(band_index);
   const std::size_t rows = grid.band_row_end(band_index) - row_lo;
   const std::size_t nx = grid.cols();
   const std::size_t total = rows * nx;
   probs.assign(total, 0.0);
-  from_cache = 0;
-
-  if (cache == nullptr) {
-    band.assign(total, layout::Clip{});
-    {
-      HSDL_TRACE_SPAN("scan.extract_band");
-      const auto extract_rows = [&](std::size_t rb, std::size_t re) {
-        for (std::size_t r = rb; r < re; ++r)
-          for (std::size_t i = 0; i < nx; ++i)
-            band[r * nx + i] =
-                source.extract_clip(grid.window(row_lo + r, i)).normalized();
-      };
-      if (parallel_extract)
-        parallel_for(0, rows, 1, extract_rows);
-      else
-        extract_rows(0, rows);
-    }
-    HSDL_TRACE_SPAN("scan.classify_band");
-    score_band(std::span<const layout::Clip>(band.data(), total),
-               std::span<double>(probs.data(), total));
-    return;
-  }
+  const auto run = [&](std::size_t n, const auto& body) {
+    if (parallel_extract)
+      parallel_for(0, n, 1, body);
+    else
+      body(0, n);
+  };
 
   // Phase 1: reuse keys and cache probes (cheap — no extraction yet).
   std::vector<std::optional<layout::WindowKey>> keys(total);
   std::vector<char> hit(total, 0);
-  {
+  if (cache != nullptr) {
     HSDL_TRACE_SPAN("scan.probe_band");
-    const auto probe_rows = [&](std::size_t rb, std::size_t re) {
+    run(rows, [&](std::size_t rb, std::size_t re) {
       for (std::size_t r = rb; r < re; ++r) {
         for (std::size_t i = 0; i < nx; ++i) {
           const std::size_t idx = r * nx + i;
@@ -93,16 +88,13 @@ void score_one_band(const ScanGrid& grid, std::size_t band_index,
           }
         }
       }
-    };
-    if (parallel_extract)
-      parallel_for(0, rows, 1, probe_rows);
-    else
-      probe_rows(0, rows);
+    });
   }
 
   // Phase 2: in-band dedup. miss_idx holds the windows that will be
   // extracted and scored; aliases map a duplicate window to the miss
   // slot of its representative.
+  BandReuse reuse;
   std::unordered_map<layout::WindowKey, std::size_t, layout::WindowKeyHash>
       rep;
   std::vector<std::size_t> miss_idx;
@@ -110,14 +102,14 @@ void score_one_band(const ScanGrid& grid, std::size_t band_index,
   miss_idx.reserve(total);
   for (std::size_t idx = 0; idx < total; ++idx) {
     if (hit[idx]) {
-      ++from_cache;
+      ++reuse.replayed;
       continue;
     }
     if (keys[idx]) {
       const auto [it, inserted] = rep.try_emplace(*keys[idx], miss_idx.size());
       if (!inserted) {
         aliases.emplace_back(idx, it->second);
-        ++from_cache;
+        ++reuse.deduped;
         continue;
       }
     }
@@ -128,17 +120,13 @@ void score_one_band(const ScanGrid& grid, std::size_t band_index,
   band.assign(miss_idx.size(), layout::Clip{});
   {
     HSDL_TRACE_SPAN("scan.extract_band");
-    const auto extract_misses = [&](std::size_t kb, std::size_t ke) {
+    run(miss_idx.size(), [&](std::size_t kb, std::size_t ke) {
       for (std::size_t k = kb; k < ke; ++k) {
         const std::size_t idx = miss_idx[k];
         band[k] = source.extract_clip(grid.window(row_lo + idx / nx, idx % nx))
                       .normalized();
       }
-    };
-    if (parallel_extract)
-      parallel_for(0, miss_idx.size(), 1, extract_misses);
-    else
-      extract_misses(0, miss_idx.size());
+    });
   }
 
   HSDL_TRACE_SPAN("scan.classify_band");
@@ -152,92 +140,152 @@ void score_one_band(const ScanGrid& grid, std::size_t band_index,
     if (keys[idx]) cache->insert(*keys[idx], miss_probs[k]);
   }
   for (const auto& [idx, slot] : aliases) probs[idx] = miss_probs[slot];
+  return reuse;
 }
 
-void record_cache_metrics(const ScanReport& report) {
-  if (!metrics::enabled() || report.windows_from_cache == 0) return;
-  static metrics::Counter& cached = metrics::counter("scan.cache_hits");
-  static metrics::Counter& scored = metrics::counter("scan.cache_misses");
-  static metrics::Gauge& rate = metrics::gauge("scan.cache_hit_rate");
-  cached.add(report.windows_from_cache);
-  scored.add(report.windows_scanned - report.windows_from_cache);
-  rate.set(report.windows_scanned == 0
-               ? 0.0
-               : static_cast<double>(report.windows_from_cache) /
-                     static_cast<double>(report.windows_scanned));
-}
+/// One band as the walk merges it.
+struct BandOutcome {
+  BandResult result;
+  BandReuse reuse;
+  bool journaled = false;  ///< replayed from the journal, not scored
+  bool done = false;       ///< ready to merge
+};
 
-/// Shared grid walk. Bands keep the hit list deterministic: clip
-/// extraction is parallel over window rows, then the band is scored and
-/// the results merged serially in row-major scan order, so hits come
-/// out exactly as a serial scan would produce them.
-template <typename ScoreBand>
-ScanReport scan_grid(const ScanConfig& config,
-                     const layout::LayoutSource& source, double threshold,
-                     ScoreBand&& score_band, ScanJournal* journal = nullptr,
-                     CellScanCache* cache = nullptr) {
+/// The one scan loop. Worker w handles bands w, w + n, w + 2n, ... with
+/// its own scorer from `make_scorer`; a single worker runs on the
+/// caller's thread and extracts through the pool, several run on their
+/// own threads and extract serially. Each band is journal-replayed or
+/// scored (then journaled) in one place, and band results are merged in
+/// row-major band order, so hits and probabilities are independent of
+/// the worker count and bitwise identical to a serial scan (only the
+/// reuse split can vary, when workers race on the cache).
+template <typename MakeScorer>
+ScanReport walk_bands(const ScanConfig& config,
+                      const layout::LayoutSource& source, double threshold,
+                      CellScanCache* cache, ScanJournal* journal,
+                      std::size_t workers, MakeScorer&& make_scorer) {
   HSDL_TRACE_SPAN("scan");
-  ScanReport report;
   WallTimer timer;
   const ScanGrid grid(source.extent(), config);
+  const std::size_t nbands = grid.bands();
   const std::size_t nx = grid.cols();
+  const std::size_t n = std::min(workers, nbands);
+  std::vector<BandOutcome> outcomes(nbands);
+  ScanReport report;
+  std::size_t deduped = 0;
+  std::size_t replayed = 0;
+  std::size_t merged = 0;  // bands [0, merged) are in the report
+  std::mutex mu;           // guards the journal and the merge
 
-  std::vector<layout::Clip> band;
-  std::vector<double> probs;
-  for (std::size_t b = 0; b < grid.bands(); ++b) {
-    if (journal != nullptr) {
-      // Replay bands a previous run already completed: same windows,
-      // same hits, no scoring. Bands are visited in the same order
-      // either way, so the merged hit list is bitwise identical.
-      if (const BandResult* done = journal->result(b)) {
-        report.windows_scanned += done->windows;
-        report.hits.insert(report.hits.end(), done->hits.begin(),
-                           done->hits.end());
-        continue;
+  // Marks band b done (caller holds mu) and moves every done band at
+  // the head of the unmerged range into the report. Bands merge in band
+  // order as soon as they can, so a single worker holds one band's hits
+  // at a time.
+  const auto finish = [&](std::size_t b) {
+    outcomes[b].done = true;
+    for (; merged < nbands && outcomes[merged].done; ++merged) {
+      BandOutcome& o = outcomes[merged];
+      report.windows_scanned += o.result.windows;
+      // Per-hit appends: a band-sized range insert would grow the
+      // report past the power-of-two capacity a serial scan reaches.
+      for (const ScanHit& hit : o.result.hits) report.hits.push_back(hit);
+      o.result.hits = std::vector<ScanHit>();
+      if (o.journaled) {
+        replayed += o.result.windows;
+      } else {
+        deduped += o.reuse.deduped;
+        replayed += o.reuse.replayed;
+        report.windows_from_cache += o.reuse.deduped + o.reuse.replayed;
       }
     }
-    // Chaos hook: a fired "scan.band" fault simulates the process dying
-    // at the start of this band — already-journaled bands stay durable.
-    if (fault::armed() && fault::fail_point("scan.band"))
-      throw CheckError("scan: injected failure at band " + std::to_string(b));
-    std::size_t from_cache = 0;
-    score_one_band(grid, b, source, score_band, cache,
-                   /*parallel_extract=*/true, band, probs, from_cache);
-    const std::size_t row_lo = grid.band_row_begin(b);
-    const std::size_t rows = grid.band_row_end(b) - row_lo;
-    report.windows_scanned += rows * nx;
-    report.windows_from_cache += from_cache;
-    const std::size_t first_hit = report.hits.size();
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t i = 0; i < nx; ++i) {
-        const double p = probs[r * nx + i];
-        if (is_flagged(p, threshold))
-          report.hits.push_back({grid.window(row_lo + r, i), p});
+  };
+
+  const auto worker = [&](std::size_t w, bool parallel_extract) {
+    auto score_band = make_scorer();
+    std::vector<layout::Clip> clips;
+    std::vector<double> probs;
+    for (std::size_t b = w; b < nbands; b += n) {
+      BandOutcome& out = outcomes[b];
+      if (journal != nullptr) {
+        // Replay a band a previous run already completed: same windows,
+        // same hits, no scoring.
+        const std::lock_guard<std::mutex> lock(mu);
+        if (const BandResult* done = journal->result(b)) {
+          out.result = *done;
+          out.journaled = true;
+          finish(b);
+          continue;
+        }
       }
+      // Chaos hook: a fired "scan.band" fault simulates the process
+      // dying at the start of this band — journaled bands stay durable.
+      if (fault::armed() && fault::fail_point("scan.band"))
+        throw CheckError("scan: injected failure at band " +
+                         std::to_string(b));
+      out.reuse = score_one_band(grid, b, source, score_band, cache,
+                                 parallel_extract, clips, probs);
+      const std::size_t row_lo = grid.band_row_begin(b);
+      const std::size_t rows = grid.band_row_end(b) - row_lo;
+      out.result.band_index = b;
+      out.result.windows = rows * nx;
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t i = 0; i < nx; ++i) {
+          const double p = probs[r * nx + i];
+          if (is_flagged(p, threshold))
+            out.result.hits.push_back({grid.window(row_lo + r, i), p});
+        }
+      const std::lock_guard<std::mutex> lock(mu);
+      if (journal != nullptr) journal->append(out.result);
+      finish(b);
     }
-    if (journal != nullptr) {
-      BandResult done;
-      done.band_index = b;
-      done.windows = rows * nx;
-      done.hits.assign(report.hits.begin() +
-                           static_cast<std::ptrdiff_t>(first_hit),
-                       report.hits.end());
-      journal->append(done);
-    }
+  };
+  if (n <= 1) {
+    worker(0, /*parallel_extract=*/true);
+  } else {
+    std::vector<std::exception_ptr> errors(n);
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (std::size_t w = 0; w < n; ++w)
+      threads.emplace_back([&, w] {
+        try {
+          worker(w, /*parallel_extract=*/false);
+        } catch (...) {
+          errors[w] = std::current_exception();
+        }
+      });
+    for (std::thread& t : threads) t.join();
+    for (const std::exception_ptr& e : errors)
+      if (e) std::rethrow_exception(e);
   }
+
   report.scan_seconds = timer.seconds();
   if (metrics::enabled()) {
     static metrics::Counter& windows = metrics::counter("scan.windows");
+    static metrics::Counter& scored = metrics::counter("scan.windows_scored");
+    static metrics::Counter& aliased =
+        metrics::counter("scan.windows_deduped");
+    static metrics::Counter& replays =
+        metrics::counter("scan.windows_replayed");
     static metrics::Counter& hits = metrics::counter("scan.hits");
     static metrics::Gauge& wps = metrics::gauge("scan.windows_per_sec");
     static metrics::Gauge& depth = metrics::gauge("scan.band_rows");
     windows.add(report.windows_scanned);
+    scored.add(report.windows_scanned - deduped - replayed);
+    aliased.add(deduped);
+    replays.add(replayed);
     hits.add(report.hits.size());
     wps.set(report.windows_per_second());
     depth.set(static_cast<double>(std::min(config.band_rows, grid.rows())));
   }
-  record_cache_metrics(report);
   return report;
+}
+
+/// Scorer factory over one caller-owned engine.
+auto engine_scorer(InferenceEngine& engine) {
+  return [&engine] {
+    return [&engine](std::span<const layout::Clip> clips,
+                     std::span<double> out) { engine.score_into(clips, out); };
+  };
 }
 
 }  // namespace
@@ -282,24 +330,23 @@ ScanReport ChipScanner::scan(const layout::LayoutSource& source,
     InferenceEngine engine(*cnn);
     return scan(source, engine);
   }
-  return scan_grid(
-      config_, source, detector.decision_threshold(),
-      [&](std::span<const layout::Clip> clips, std::span<double> out) {
-        const std::vector<double> p = detector.predict_probabilities(clips);
-        std::copy(p.begin(), p.end(), out.begin());
-      });
+  return walk_bands(config_, source, detector.decision_threshold(), nullptr,
+                    nullptr, 1, [&] {
+                      return [&](std::span<const layout::Clip> clips,
+                                 std::span<double> out) {
+                        const std::vector<double> p =
+                            detector.predict_probabilities(clips);
+                        std::copy(p.begin(), p.end(), out.begin());
+                      };
+                    });
 }
 
 ScanReport ChipScanner::scan(const layout::LayoutSource& source,
                              InferenceEngine& engine,
                              CellScanCache* cache) const {
   config_.validate_for(engine.detector());
-  return scan_grid(
-      config_, source, engine.detector().decision_threshold(),
-      [&](std::span<const layout::Clip> clips, std::span<double> out) {
-        engine.score_into(clips, out);
-      },
-      nullptr, cache);
+  return walk_bands(config_, source, engine.detector().decision_threshold(),
+                    cache, nullptr, 1, engine_scorer(engine));
 }
 
 ScanReport ChipScanner::scan_resumable(const layout::LayoutSource& source,
@@ -310,12 +357,9 @@ ScanReport ChipScanner::scan_resumable(const layout::LayoutSource& source,
   ScanJournal journal(journal_path,
                       ScanJournal::fingerprint(config_, source.extent(),
                                                source.fingerprint()));
-  ScanReport report = scan_grid(
-      config_, source, engine.detector().decision_threshold(),
-      [&](std::span<const layout::Clip> clips, std::span<double> out) {
-        engine.score_into(clips, out);
-      },
-      &journal, cache);
+  ScanReport report =
+      walk_bands(config_, source, engine.detector().decision_threshold(),
+                 cache, &journal, 1, engine_scorer(engine));
   // The scan is complete; stale resume state must not leak into a
   // future scan of a (possibly different) chip at the same path.
   journal.remove();
@@ -328,100 +372,18 @@ ScanReport ChipScanner::scan_sharded(const layout::LayoutSource& source,
                                      CellScanCache* cache) const {
   HSDL_CHECK_MSG(shards >= 1, "scan: shards must be >= 1, got " << shards);
   config_.validate_for(detector);
-  if (shards == 1) {
-    InferenceEngine engine(detector);
-    return scan(source, engine, cache);
-  }
-  HSDL_TRACE_SPAN("scan.sharded");
-  WallTimer timer;
-  const ScanGrid grid(source.extent(), config_);
-  const double threshold = detector.decision_threshold();
-  const std::size_t nbands = grid.bands();
-  const std::size_t nx = grid.cols();
-
-  struct ShardBand {
-    std::size_t windows = 0;
-    std::size_t from_cache = 0;
-    std::vector<ScanHit> hits;
-  };
-  std::vector<ShardBand> bands(nbands);
-  std::vector<std::exception_ptr> errors(shards);
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    workers.emplace_back([&, s] {
-      try {
-        // Each shard owns an engine (and its arena); the cache is the
-        // only shared mutable state, and every value two shards could
-        // race to insert under one key is bitwise identical.
-        InferenceEngine engine(detector);
-        std::vector<layout::Clip> scratch;
-        std::vector<double> probs;
-        for (std::size_t b = s; b < nbands; b += shards) {
-          if (fault::armed() && fault::fail_point("scan.band"))
-            throw CheckError("scan: injected failure at band " +
-                             std::to_string(b));
-          ShardBand& out = bands[b];
-          score_one_band(
-              grid, b, source,
-              [&](std::span<const layout::Clip> clips,
-                  std::span<double> o) { engine.score_into(clips, o); },
-              cache, /*parallel_extract=*/false, scratch, probs,
-              out.from_cache);
-          const std::size_t row_lo = grid.band_row_begin(b);
-          const std::size_t rows = grid.band_row_end(b) - row_lo;
-          out.windows = rows * nx;
-          for (std::size_t r = 0; r < rows; ++r)
-            for (std::size_t i = 0; i < nx; ++i) {
-              const double p = probs[r * nx + i];
-              if (is_flagged(p, threshold))
-                out.hits.push_back({grid.window(row_lo + r, i), p});
-            }
-        }
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-
-  // Merge in band order: the report is independent of shard count and
-  // interleaving, bitwise identical to the 1-shard scan.
-  ScanReport report;
-  for (const ShardBand& b : bands) {
-    report.windows_scanned += b.windows;
-    report.windows_from_cache += b.from_cache;
-    report.hits.insert(report.hits.end(), b.hits.begin(), b.hits.end());
-  }
-  report.scan_seconds = timer.seconds();
-  if (metrics::enabled()) {
-    static metrics::Counter& windows = metrics::counter("scan.windows");
-    static metrics::Counter& hits = metrics::counter("scan.hits");
-    static metrics::Gauge& wps = metrics::gauge("scan.windows_per_sec");
-    windows.add(report.windows_scanned);
-    hits.add(report.hits.size());
-    wps.set(report.windows_per_second());
-  }
-  record_cache_metrics(report);
-  return report;
-}
-
-ScanReport ChipScanner::scan(const layout::Layout& chip,
-                             const Detector& detector) const {
-  return scan(layout::FlatSource(chip), detector);
-}
-
-ScanReport ChipScanner::scan(const layout::Layout& chip,
-                             InferenceEngine& engine) const {
-  return scan(layout::FlatSource(chip), engine);
-}
-
-ScanReport ChipScanner::scan_resumable(const layout::Layout& chip,
-                                       InferenceEngine& engine,
-                                       const std::string& journal_path) const {
-  return scan_resumable(layout::FlatSource(chip), engine, journal_path);
+  // Each shard owns an engine (and its arena); the cache is the only
+  // shared mutable state, and every value two shards could race to
+  // insert under one key is bitwise identical.
+  return walk_bands(config_, source, detector.decision_threshold(), cache,
+                    nullptr, shards, [&] {
+                      return [engine = std::make_unique<InferenceEngine>(
+                                  detector)](
+                                 std::span<const layout::Clip> clips,
+                                 std::span<double> out) {
+                        engine->score_into(clips, out);
+                      };
+                    });
 }
 
 }  // namespace hsdl::hotspot

@@ -1,8 +1,8 @@
 // Full-chip hotspot scanning.
 //
-// Slides a clip-sized window over a LayoutSource (flat Layout adapter
-// or hierarchical HierLayout adapter — layout/layout_source.hpp) at a
-// configurable stride and classifies each window with any Detector,
+// Slides a clip-sized window over a LayoutSource (FlatSource over a flat
+// Layout, or HierSource over a HierLayout — layout/layout_source.hpp) at
+// a configurable stride and classifies each window with any Detector,
 // producing a hotspot map —
 // the production flow the paper targets: replace full-chip lithography
 // simulation (10 s/clip) with millisecond ML screening and simulate only
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "hotspot/detector.hpp"
-#include "layout/layout.hpp"
 #include "layout/layout_source.hpp"
 
 namespace hsdl::hotspot {
@@ -126,23 +125,17 @@ class ChipScanner {
                             CellScanCache* cache = nullptr) const;
 
   /// Scans with `shards` independent engine instances, bands assigned
-  /// round-robin (band % shards), each shard extracting serially on its
-  /// own thread. Band results are merged in row-major band order, so
-  /// the report is bitwise identical to the 1-shard scan no matter how
-  /// shards interleave. A shared cache (one mutex-guarded CellScanCache
-  /// across all shards) is sound for the same reason single-shard
-  /// caching is: every value a key can cache is bitwise identical.
+  /// round-robin (band % shards). One shard runs on the caller's thread
+  /// and extracts through the pool like scan(); more run min(shards,
+  /// bands) threads, each extracting serially. Band results are merged
+  /// in row-major band order, so the report is bitwise identical to the
+  /// 1-shard scan no matter how shards interleave. A shared cache (one
+  /// mutex-guarded CellScanCache across all shards) is sound for the
+  /// same reason single-shard caching is: every value a key can cache
+  /// is bitwise identical.
   ScanReport scan_sharded(const layout::LayoutSource& source,
                           const CnnDetector& detector, std::size_t shards,
                           CellScanCache* cache = nullptr) const;
-
-  /// Thin adapters over the flat Layout model (wraps the chip in a
-  /// FlatSource; same semantics as the LayoutSource overloads).
-  ScanReport scan(const layout::Layout& chip, const Detector& detector) const;
-  ScanReport scan(const layout::Layout& chip, InferenceEngine& engine) const;
-  ScanReport scan_resumable(const layout::Layout& chip,
-                            InferenceEngine& engine,
-                            const std::string& journal_path) const;
 
  private:
   ScanConfig config_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "common/metrics.hpp"
 #include "hotspot/detector.hpp"
 #include "hotspot/engine/engine.hpp"
 #include "hotspot/scan_cache.hpp"
@@ -134,7 +136,8 @@ TEST(HierScanTest, CachedHierScanMatchesFlatBitwise) {
   const ChipScanner scanner(band_per_row_config());
 
   InferenceEngine flat_engine(detector);
-  const ScanReport flat_report = scanner.scan(flat, flat_engine);
+  const ScanReport flat_report =
+      scanner.scan(layout::FlatSource(flat), flat_engine);
   ASSERT_EQ(flat_report.windows_scanned, 16u);
   EXPECT_EQ(flat_report.windows_from_cache, 0u);
 
@@ -169,16 +172,72 @@ TEST(HierScanTest, ShardCountNeverChangesTheReport) {
   const ChipScanner scanner(band_per_row_config());
 
   InferenceEngine flat_engine(detector);
-  const ScanReport flat_report = scanner.scan(flat, flat_engine);
+  const ScanReport flat_report =
+      scanner.scan(layout::FlatSource(flat), flat_engine);
 
   const layout::HierSource source(hier, 1);
+  const layout::FlatSource flat_source(flat);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{8}}) {
     CellScanCache cache;
     const ScanReport sharded =
         scanner.scan_sharded(source, detector, shards, &cache);
     expect_same_report(flat_report, sharded);
+    // Without a cache every window is scored, on every shard.
+    const ScanReport uncached =
+        scanner.scan_sharded(flat_source, detector, shards);
+    expect_same_report(flat_report, uncached);
+    EXPECT_EQ(uncached.windows_from_cache, 0u);
   }
+}
+
+TEST(HierScanTest, ShardedScanFaultSurfacesAfterJoiningWorkers) {
+  const layout::HierLayout hier = array_chip();
+  const layout::HierSource source(hier, 1);
+  const CnnDetector detector(small_config());
+  const ChipScanner scanner(band_per_row_config());
+  fault::Plan plan;
+  plan.specs.push_back({"scan.band", fault::Kind::kFail, 1.0, 0.0,
+                        /*start_after=*/1, /*max_fires=*/1});
+  fault::ScopedPlan armed(std::move(plan));
+  CellScanCache cache;
+  // One band of four fails on one of the two shard threads; the error
+  // reaches the caller only after both workers have been joined (an
+  // unjoined std::thread would terminate the process instead).
+  EXPECT_THROW(scanner.scan_sharded(source, detector, 2, &cache), CheckError);
+}
+
+TEST(HierScanTest, ReuseMetricsSplitScoredDedupedReplayed) {
+  const layout::HierLayout hier = array_chip();
+  const layout::HierSource source(hier, 1);
+  const CnnDetector detector(small_config());
+  const ChipScanner scanner(band_per_row_config());
+  metrics::set_enabled(true);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    metrics::reset();
+    CellScanCache cache;
+    const ScanReport report =
+        scanner.scan_sharded(source, detector, shards, &cache);
+    // Per row band: two distinct keys, each aliased once in the band;
+    // rows 2-3 replay rows 0-1 from the cache (each shard scores its
+    // band 0/1 before it reaches band 2/3).
+    const std::uint64_t scored =
+        metrics::counter("scan.windows_scored").value();
+    const std::uint64_t deduped =
+        metrics::counter("scan.windows_deduped").value();
+    const std::uint64_t replayed =
+        metrics::counter("scan.windows_replayed").value();
+    EXPECT_EQ(scored, 4u) << shards << " shards";
+    EXPECT_EQ(deduped, 4u) << shards << " shards";
+    EXPECT_EQ(replayed, 8u) << shards << " shards";
+    EXPECT_EQ(scored + deduped + replayed,
+              metrics::counter("scan.windows").value());
+    EXPECT_EQ(report.windows_from_cache, deduped + replayed);
+    EXPECT_EQ(cache.stats().hits, replayed);
+    EXPECT_EQ(metrics::gauge("scan.band_rows").value(), 1.0);
+  }
+  metrics::set_enabled(false);
+  metrics::reset();
 }
 
 TEST(HierScanTest, OverlappingAndNestedPlacementsStayBitwise) {
@@ -188,7 +247,8 @@ TEST(HierScanTest, OverlappingAndNestedPlacementsStayBitwise) {
   const ChipScanner scanner(band_per_row_config());
 
   InferenceEngine flat_engine(detector);
-  const ScanReport flat_report = scanner.scan(flat, flat_engine);
+  const ScanReport flat_report =
+      scanner.scan(layout::FlatSource(flat), flat_engine);
   ASSERT_EQ(flat_report.windows_scanned, 16u);
 
   const layout::HierSource source(hier, 1);

@@ -75,7 +75,7 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
   std::filesystem::remove(path);
 
   InferenceEngine clean_engine(detector);
-  const ScanReport clean = scanner.scan(chip, clean_engine);
+  const ScanReport clean = scanner.scan(layout::FlatSource(chip), clean_engine);
   ASSERT_EQ(clean.windows_scanned, 8u);  // 2 cols x 4 rows
 
   // Kill the scan at the start of band 2: bands 0 and 1 are journaled,
@@ -86,7 +86,8 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
                           /*start_after=*/2, /*max_fires=*/0});
     fault::ScopedPlan armed(std::move(plan));
     InferenceEngine engine(detector);
-    EXPECT_THROW(scanner.scan_resumable(chip, engine, path), CheckError);
+    EXPECT_THROW(scanner.scan_resumable(layout::FlatSource(chip), engine, path),
+                 CheckError);
   }
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -94,7 +95,7 @@ TEST(ScanResumeTest, KilledScanResumesBitwiseIdentical) {
   // each) are scored; bands 0-1 replay from the journal.
   InferenceEngine resume_engine(detector);
   const ScanReport resumed =
-      scanner.scan_resumable(chip, resume_engine, path);
+      scanner.scan_resumable(layout::FlatSource(chip), resume_engine, path);
   expect_same_report(clean, resumed);
   EXPECT_EQ(resume_engine.stats().requests, 4u);
   // A completed scan cleans up its resume state.

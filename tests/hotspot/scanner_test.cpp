@@ -42,7 +42,7 @@ TEST(ScannerTest, WindowCountMatchesGrid) {
   layout::Layout chip = dense_corner_chip();
   ChipScanner scanner(ScanConfig{1200, 1200});
   DensityThresholdDetector det(0.5);
-  ScanReport report = scanner.scan(chip, det);
+  ScanReport report = scanner.scan(layout::FlatSource(chip), det);
   EXPECT_EQ(report.windows_scanned, 4u);
   EXPECT_EQ(det.calls, 4);
 }
@@ -51,7 +51,7 @@ TEST(ScannerTest, StrideControlsOverlap) {
   layout::Layout chip = dense_corner_chip();
   ChipScanner scanner(ScanConfig{1200, 600});
   DensityThresholdDetector det(0.5);
-  ScanReport report = scanner.scan(chip, det);
+  ScanReport report = scanner.scan(layout::FlatSource(chip), det);
   EXPECT_EQ(report.windows_scanned, 9u);  // 3x3 positions
 }
 
@@ -59,7 +59,7 @@ TEST(ScannerTest, FlagsOnlyDenseWindows) {
   layout::Layout chip = dense_corner_chip();
   ChipScanner scanner(ScanConfig{1200, 1200});
   DensityThresholdDetector det(0.5);
-  ScanReport report = scanner.scan(chip, det);
+  ScanReport report = scanner.scan(layout::FlatSource(chip), det);
   ASSERT_EQ(report.hits.size(), 1u);
   EXPECT_EQ(report.hits[0].window, geom::Rect::from_xywh(0, 0, 1200, 1200));
   EXPECT_DOUBLE_EQ(report.flagged_fraction(), 0.25);
@@ -69,7 +69,7 @@ TEST(ScannerTest, OdstAccountsFlaggedOnly) {
   layout::Layout chip = dense_corner_chip();
   ChipScanner scanner(ScanConfig{1200, 1200});
   DensityThresholdDetector det(0.5);
-  ScanReport report = scanner.scan(chip, det);
+  ScanReport report = scanner.scan(layout::FlatSource(chip), det);
   EXPECT_NEAR(report.odst_seconds(), 10.0 + report.scan_seconds, 1e-9);
   EXPECT_DOUBLE_EQ(report.full_simulation_seconds(), 40.0);
   EXPECT_LT(report.odst_seconds(), report.full_simulation_seconds());
@@ -80,7 +80,7 @@ TEST(ScannerTest, LayoutSmallerThanWindowThrows) {
                       {geom::Rect::from_xywh(0, 0, 100, 100)});
   ChipScanner scanner(ScanConfig{1200, 1200});
   DensityThresholdDetector det(0.5);
-  EXPECT_THROW(scanner.scan(tiny, det), hsdl::CheckError);
+  EXPECT_THROW(scanner.scan(layout::FlatSource(tiny), det), hsdl::CheckError);
 }
 
 TEST(ScannerTest, ConfigValidation) {
@@ -103,7 +103,7 @@ TEST(ScannerTest, ClipsPassedNormalized) {
   layout::Layout chip = dense_corner_chip();
   ChipScanner scanner(ScanConfig{1200, 1200});
   WindowProbe probe;
-  scanner.scan(chip, probe);
+  scanner.scan(layout::FlatSource(chip), probe);
 }
 
 layout::Layout trailing_band_chip() {
@@ -123,7 +123,7 @@ TEST(ScannerTest, TrailingBandIsScanned) {
   layout::Layout chip = trailing_band_chip();
   ChipScanner scanner(ScanConfig{1200, 1200});
   DensityThresholdDetector det(0.05);
-  ScanReport report = scanner.scan(chip, det);
+  ScanReport report = scanner.scan(layout::FlatSource(chip), det);
   // Grid {0, 1200} plus the clamped position 1700, per axis.
   EXPECT_EQ(report.windows_scanned, 9u);
   ASSERT_EQ(report.hits.size(), 1u);
@@ -136,7 +136,7 @@ TEST(ScannerTest, StrideAlignedExtentGetsNoExtraWindows) {
   layout::Layout chip = dense_corner_chip();  // 2400 extent, stride 1200
   ChipScanner scanner(ScanConfig{1200, 1200});
   DensityThresholdDetector det(0.5);
-  EXPECT_EQ(scanner.scan(chip, det).windows_scanned, 4u);
+  EXPECT_EQ(scanner.scan(layout::FlatSource(chip), det).windows_scanned, 4u);
 }
 
 TEST(ScannerTest, ClampedGridNeverDuplicatesWindows) {
@@ -150,7 +150,7 @@ TEST(ScannerTest, ClampedGridNeverDuplicatesWindows) {
           {geom::Rect::from_xywh(0, 0, 50, 50)});
       ChipScanner scanner(ScanConfig{1200, stride});
       DensityThresholdDetector flag_all(-1.0);  // every window is a hit
-      ScanReport report = scanner.scan(chip, flag_all);
+      ScanReport report = scanner.scan(layout::FlatSource(chip), flag_all);
       EXPECT_EQ(report.hits.size(), report.windows_scanned);
       std::set<std::pair<geom::Coord, geom::Coord>> seen;
       for (const ScanHit& hit : report.hits)
@@ -168,7 +168,7 @@ TEST(ScannerTest, ReportBitwiseIdenticalAcrossThreadCounts) {
   auto run = [&](std::size_t threads) {
     set_num_threads(threads);
     DensityThresholdDetector det(0.05);
-    ScanReport r = scanner.scan(chip, det);
+    ScanReport r = scanner.scan(layout::FlatSource(chip), det);
     set_num_threads(0);
     return r;
   };
