@@ -1,15 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels under
 // the paper's pipeline: GEMM, DCT (full vs partial), zig-zag, clip
 // rasterization, feature tensor extraction, aerial-image simulation,
-// hotspot labeling, and CNN forward/backward.
+// hotspot labeling, CNN forward/backward and the fp32 direct conv at the
+// Table-1 layer shapes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "fte/feature_tensor.hpp"
 #include "hotspot/cnn.hpp"
 #include "layout/generator.hpp"
 #include "layout/raster.hpp"
 #include "litho/labeler.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/loss.hpp"
 
@@ -208,6 +213,39 @@ void BM_CnnForward(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_CnnForward)->Arg(1)->Arg(32);
+
+// One Table-1 conv (3x3, pad 1, + ReLU) through the served entry point,
+// Conv2d::infer_relu, on a batch of 64 post-ReLU maps: weight packing
+// plus the direct kernel, on one thread so GFLOP/s is per core.
+void BM_ConvTable1(benchmark::State& state, std::size_t in_c,
+                   std::size_t out_c, std::size_t side) {
+  constexpr std::size_t kBatch = 64;
+  Rng rng(5);
+  nn::Conv2dConfig cfg;
+  cfg.in_channels = in_c;
+  cfg.out_channels = out_c;
+  nn::Conv2d conv(cfg, rng);
+  nn::Tensor x({kBatch, in_c, side, side});
+  for (std::size_t i = 0; i < x.numel(); ++i)
+    x[i] = std::max(0.0f, static_cast<float>(rng.normal()));
+  set_num_threads(1);
+  for (auto _ : state) {
+    nn::Tensor y = conv.infer_relu(x);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  set_num_threads(0);
+  const double flops =
+      2.0 * static_cast<double>(kBatch * out_c * in_c * 9 * side * side);
+  // A rate counter: printed as GFLOP=<n>/s.
+  state.counters["GFLOP"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * flops * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_ConvTable1, conv1_1, 32, 16, 12);
+BENCHMARK_CAPTURE(BM_ConvTable1, conv1_2, 16, 16, 12);
+BENCHMARK_CAPTURE(BM_ConvTable1, conv2_1, 16, 32, 6);
+BENCHMARK_CAPTURE(BM_ConvTable1, conv2_2, 32, 32, 6);
 
 void BM_CnnTrainStep(benchmark::State& state) {
   hotspot::HotspotCnn model;

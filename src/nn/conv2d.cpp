@@ -175,8 +175,8 @@ Tensor Conv2d::direct_infer(const Tensor& input, WorkspaceArena* ws,
       config_.in_channels * config_.kernel * config_.kernel;
 
   HSDL_TRACE_SPAN("conv2d.infer");
-  // Same multiply-add count as the im2col GEMM (modulo skipped zeros);
-  // keep the counter comparable across paths.
+  // The im2col GEMM's multiply-add count, which is exactly what the AVX2
+  // direct kernel does per real output: it skips no tap.
   count_conv_flops(n, config_.out_channels, kk, oh * ow, /*passes=*/1);
   const ConvDirectShape ds{config_.in_channels, h,
                            w,                   config_.out_channels,
@@ -184,10 +184,13 @@ Tensor Conv2d::direct_infer(const Tensor& input, WorkspaceArena* ws,
                            config_.padding};
   const std::vector<std::size_t> out_shape{n, config_.out_channels, oh, ow};
   Tensor out = ws != nullptr ? ws->take(out_shape) : Tensor(out_shape);
+  // Packed once per batch; the workers only read it.
+  const PackedConvWeights packed =
+      pack_conv_weights(weight_.value.data(), bias_.value.data(), ds);
   hsdl::parallel_for(0, n, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      conv2d_direct(input.data() + i * config_.in_channels * h * w,
-                    weight_.value.data(), bias_.value.data(), ds, fuse_relu,
+      conv2d_direct(input.data() + i * config_.in_channels * h * w, packed,
+                    ds, fuse_relu,
                     out.data() + i * config_.out_channels * oh * ow);
     }
   });

@@ -2,16 +2,16 @@
 //
 // The im2col+GEMM path pays a full [in_c*k*k x oh*ow] buffer write and
 // read per sample before a single multiply happens. These kernels walk
-// the input in place instead, accumulating each output row with the
-// exact arithmetic the im2col path's reference GEMM performs:
+// the input in place instead, accumulating each output with the exact
+// arithmetic the im2col path's reference GEMM performs:
 //
 //   * outputs start at +0.0 and accumulate weight terms in ascending
 //     p = (in_channel, ky, kx) order — the im2col row order;
-//   * zero weights are skipped, mirroring gemm_naive's `av == 0` skip;
-//   * out-of-bounds (padded) input positions are skipped, which is
-//     bitwise safe: the padded contribution is w * 0.0 = ±0.0, and an
-//     accumulator that starts at +0.0 can never become -0.0 under
-//     addition, so adding ±0.0 is always an exact no-op;
+//   * the scalar path skips zero weights (gemm_naive's `av == 0` skip)
+//     and out-of-bounds input positions; the AVX2 path adds both terms.
+//     Either is bitwise safe for finite inputs: such a term is w * 0.0 or
+//     0.0 * x = ±0.0, and an accumulator that starts at +0.0 can never
+//     become -0.0 under addition, so adding ±0.0 is an exact no-op;
 //   * the AVX2 variant uses separate multiply and add (never FMA), so
 //     its lanes round exactly like the scalar loop.
 //
@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace hsdl::nn {
 
@@ -44,13 +45,32 @@ struct ConvDirectShape {
   }
 };
 
+/// A conv layer's weights in the AVX2 kernel's layout, built once per
+/// batch by pack_conv_weights and read-only afterwards, so one copy is
+/// shared by every worker. Output channels are split into groups of up
+/// to 32 (four 8-lane vectors); the group starting at channel 8*b holds
+/// [in_c*k*k][group width] at offset 8*b*in_c*k*k. Lanes past out_c are
+/// +0.0 and never stored.
+struct PackedConvWeights {
+  const float* weight = nullptr;  ///< source [out_c, in_c*k*k]; not owned
+  const float* bias = nullptr;    ///< source [out_c]; not owned
+  std::vector<float> lanes;       ///< packed weights, see above
+  std::vector<float> lane_bias;   ///< bias padded to a multiple of 8 lanes
+};
+
+/// Packs `weight` [out_c, in_c*k*k] and `bias` [out_c] for `shape`. The
+/// result keeps pointers to both (the scalar path reads them), so they
+/// must outlive it.
+PackedConvWeights pack_conv_weights(const float* weight, const float* bias,
+                                    const ConvDirectShape& shape);
+
 /// One-sample direct convolution: out[oc][oy][ox] =
 /// bias[oc] + sum_p W[oc][p] * in(p, oy, ox), with optional fused ReLU
 /// applied after the bias add (max with +0.0 via `v > 0 ? v : 0`, the
-/// same predicate as Relu::infer). `in` is [in_c, H, W], `weight` is
-/// [out_c, in_c*k*k], `out` is [out_c, oh, ow]; all row-major and fully
-/// overwritten. Dispatches to AVX2 when available (see common/cpuinfo).
-void conv2d_direct(const float* in, const float* weight, const float* bias,
+/// same predicate as Relu::infer). `in` is [in_c, H, W] and `out` is
+/// [out_c, oh, ow], row-major; `out` is fully overwritten. Dispatches to
+/// AVX2 when available (see common/cpuinfo).
+void conv2d_direct(const float* in, const PackedConvWeights& packed,
                    const ConvDirectShape& shape, bool fuse_relu, float* out);
 
 /// Scalar reference path, exposed so tests can pin the dispatch variants
