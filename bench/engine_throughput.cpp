@@ -1,7 +1,7 @@
 // Serving throughput: batched InferenceEngine vs the per-clip path,
-// plus the single-thread raw-speed ladder (im2col fp32 baseline vs the
-// direct-kernel fp32 path vs int8) that BENCH_serving.json's
-// "single_thread" section records.
+// plus the single-thread raw-speed ladder (the direct-kernel fp32 path vs
+// int8, as a same-run ratio) that BENCH_serving.json's "single_thread"
+// section records.
 //
 // Scores the same clip stream three ways — (a) serial per-clip
 // predict_probability, (b) the engine at its default batch size, and
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "common/refmode.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "hotspot/detector.hpp"
@@ -73,18 +72,16 @@ int main() {
   hotspot::CnnDetector detector(serving_detector_config());
 
   // -- single-thread end-to-end latency: the raw-speed comparison.
-  // One thread, per-clip serving (rasterize + DCT + forward), three
-  // models over the same window stream:
-  //   baseline_im2col_fp32 — reference mode: the exact pre-optimization
-  //                          pipeline (per-block DCT, im2col+GEMM conv,
-  //                          unfused layers, allocating rasterizer);
-  //   direct_fp32          — banded DCT + direct/fused conv kernels;
-  //   int8                 — the quantized serving path on top of that.
+  // One thread, per-clip serving (banded DCT + forward), two models over
+  // the same window stream:
+  //   direct_fp32 — direct/fused conv kernels;
+  //   int8        — the quantized serving path, reported as a ratio to
+  //                 direct_fp32 from the same run.
   set_num_threads(1);
   const std::size_t n_st = smoke ? 24 : 96;
   const std::span<const layout::Clip> st_clips(clips.data(), n_st);
   // Best-of-N: single ~tens-of-ms passes swing 2x on a noisy shared
-  // host, and the ladder's whole point is comparing three variants of
+  // host, and the ladder's whole point is comparing two variants of
   // the same work. The minimum over repetitions is the least-disturbed
   // measurement of each.
   const std::size_t st_reps = smoke ? 3 : 7;
@@ -101,11 +98,6 @@ int main() {
     }
     return best;
   };
-  double baseline_s = 0.0;
-  {
-    runtime::ReferenceModeGuard reference(true);
-    baseline_s = time_per_clip();
-  }
   const double direct_s = time_per_clip();
   {
     std::vector<layout::LabeledClip> calibration(16);
@@ -117,16 +109,13 @@ int main() {
   }
   const double int8_s = time_per_clip();
   detector.set_use_quantized(false);  // fp32 for the engine sections below
-  const double baseline_wps = static_cast<double>(n_st) / baseline_s;
   const double direct_wps = static_cast<double>(n_st) / direct_s;
   const double int8_wps = static_cast<double>(n_st) / int8_s;
   std::printf(
       "  single-thread, %zu windows:\n"
-      "    im2col fp32 (baseline) %7.1f win/s\n"
-      "    direct fp32            %7.1f win/s (%.2fx)\n"
-      "    int8                   %7.1f win/s (%.2fx)\n",
-      n_st, baseline_wps, direct_wps, direct_wps / baseline_wps, int8_wps,
-      int8_wps / baseline_wps);
+      "    direct fp32 %7.1f win/s\n"
+      "    int8        %7.1f win/s (%.2fx vs direct fp32)\n",
+      n_st, direct_wps, int8_wps, int8_wps / direct_wps);
   set_num_threads(threads);
 
   // Both sides of the headline ratio run best-of-N for the same reason
@@ -280,14 +269,11 @@ int main() {
      << ",\n  \"smoke\": " << (smoke ? "true" : "false")
      << ",\n  \"clips\": " << n_clips
      << ",\n  \"single_thread\": {\"windows\": " << n_st
-     << ",\n    \"baseline_im2col_fp32\": {\"seconds\": " << baseline_s
-     << ", \"windows_per_sec\": " << baseline_wps << "},\n"
-     << "    \"direct_fp32\": {\"seconds\": " << direct_s
-     << ", \"windows_per_sec\": " << direct_wps
-     << ", \"speedup_vs_baseline\": " << direct_wps / baseline_wps << "},\n"
+     << ",\n    \"direct_fp32\": {\"seconds\": " << direct_s
+     << ", \"windows_per_sec\": " << direct_wps << "},\n"
      << "    \"int8\": {\"seconds\": " << int8_s
      << ", \"windows_per_sec\": " << int8_wps
-     << ", \"speedup_vs_baseline\": " << int8_wps / baseline_wps << "}}"
+     << ", \"speedup_vs_direct_fp32\": " << int8_wps / direct_wps << "}}"
      << ",\n  \"per_clip\": {\"seconds\": " << serial_s
      << ", \"clips_per_sec\": " << serial_cps << "},\n"
      << "  \"engine\": {\"seconds\": " << engine_s

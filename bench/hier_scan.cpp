@@ -107,8 +107,8 @@ int main() {
   bench::print_header(
       "hierarchical full-chip scan: flat expansion vs CellScanCache");
 
-  const layout::HierLayout hier =
-      layout::hier_from_library(array_library());
+  const layout::GdsLibrary lib = array_library();
+  const layout::HierLayout hier = layout::hier_from_library(lib);
   const layout::HierSource source(hier, 1);
   const hotspot::CnnDetector detector(scan_config());
   const hotspot::ChipScanner scanner(hotspot::ScanConfig{1200, 1200});
@@ -150,7 +150,8 @@ int main() {
   }
 
   // Flat expansion last: materializes every instance in RAM.
-  const std::vector<Rect> flat_rects = hier.flatten(1);
+  const std::vector<Rect> flat_rects =
+      layout::flatten_cell(lib, hier.cell(hier.top()).name, 1);
   const layout::Layout flat(hier.extent(), flat_rects);
   hotspot::InferenceEngine engine(detector);
   WallTimer timer;

@@ -9,7 +9,6 @@
 #include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/refmode.hpp"
 #include "common/trace.hpp"
 #include "fte/zigzag.hpp"
 
@@ -84,11 +83,10 @@ std::size_t checked_block(const FeatureTensorConfig& cfg, std::size_t width,
 }
 
 /// The banded path handles every corner size the zig-zag prefix of a real
-/// config produces (kp <= 8 covers k <= 36); exotic test configs and
-/// reference mode take the original per-block path.
+/// config produces (kp <= 8 covers k <= 36); exotic test configs take the
+/// original per-block path.
 bool use_reference(std::size_t block, std::size_t k) {
-  return runtime::reference_mode() ||
-         cached_corner_for_prefix(block, k) > DctPlan::kTransposedStride;
+  return cached_corner_for_prefix(block, k) > DctPlan::kTransposedStride;
 }
 
 FeatureTensor zero_tensor(const FeatureTensorConfig& cfg) {
@@ -177,7 +175,8 @@ void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
   const std::size_t B =
       checked_block(config_, raster.width(), raster.height(), out.size());
   if (use_reference(B, config_.coeffs)) {
-    extract_reference(raster, out);
+    const FeatureTensor ref = extract_reference(raster);
+    std::copy(ref.data.begin(), ref.data.end(), out.begin());
     return;
   }
   // Raster front-end: column x starts a new run when it differs bitwise
@@ -209,11 +208,13 @@ void FeatureTensorExtractor::extract_into(const layout::MaskImage& raster,
       out);
 }
 
-void FeatureTensorExtractor::extract_reference(const layout::MaskImage& raster,
-                                               std::span<float> out) const {
+FeatureTensor FeatureTensorExtractor::extract_reference(
+    const layout::MaskImage& raster) const {
   const std::size_t n = config_.blocks_per_side;
   const std::size_t k = config_.coeffs;
-  const std::size_t B = raster.width() / n;  // checked by extract_into
+  FeatureTensor out = zero_tensor(config_);
+  const std::size_t B =
+      checked_block(config_, raster.width(), raster.height(), out.data.size());
   const DctPlan& plan = plan_for(B);
   // Partial DCT: only the corner covering the first k zig-zag positions.
   const std::size_t kp = cached_corner_for_prefix(B, k);
@@ -233,10 +234,10 @@ void FeatureTensorExtractor::extract_reference(const layout::MaskImage& raster,
       zigzag_take(corner.data(), kp, k, scan.data());
       const float scale =
           config_.normalize ? 1.0f / static_cast<float>(B) : 1.0f;
-      for (std::size_t c = 0; c < k; ++c)
-        out[(c * n + by) * n + bx] = scan[c] * scale;
+      for (std::size_t c = 0; c < k; ++c) out.at(c, by, bx) = scan[c] * scale;
     }
   }
+  return out;
 }
 
 void FeatureTensorExtractor::extract_into(const layout::Clip& clip,

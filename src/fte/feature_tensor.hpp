@@ -83,6 +83,13 @@ class FeatureTensorExtractor {
   std::vector<FeatureTensor> extract_batch(
       std::span<const layout::Clip> clips) const;
 
+  /// The original per-block path: gathers each block and runs
+  /// DctPlan::partial on the copy. It is the bitwise oracle both
+  /// extract_into front-ends are tested against, and extract_into falls
+  /// back to it for corners the band cannot hold (kp > 8). Validates the
+  /// raster as extract_into does.
+  FeatureTensor extract_reference(const layout::MaskImage& raster) const;
+
   /// Inverse: reassembles an approximate raster from a tensor.
   /// `block_px` chooses the output block resolution (use the same value as
   /// extraction for a like-for-like comparison).
@@ -91,13 +98,6 @@ class FeatureTensorExtractor {
 
  private:
   const DctPlan& plan_for(std::size_t block) const;
-
-  /// Original per-block path: gathers each block and runs DctPlan::partial
-  /// on the copy. Kept as the bitwise oracle for the banded path;
-  /// reference mode (common/refmode.hpp) forces it, and it also serves
-  /// corner cases the band cannot (kp > 8).
-  void extract_reference(const layout::MaskImage& raster,
-                         std::span<float> out) const;
 
   FeatureTensorConfig config_;
   // Plans are cached per block size (tests exercise several resolutions).

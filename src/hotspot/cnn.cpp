@@ -1,7 +1,6 @@
 #include "hotspot/cnn.hpp"
 
 #include "common/check.hpp"
-#include "common/refmode.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -65,22 +64,15 @@ nn::Tensor HotspotCnn::probabilities(const nn::Tensor& input) const {
 
 nn::Tensor HotspotCnn::probabilities(const nn::Tensor& input,
                                      nn::WorkspaceArena& ws) const {
-  // Fast path: run the fused walk up to (but not including) the final
-  // Linear, then apply FC + softmax in one pass so the logits never
-  // round-trip through the arena. Bitwise identical to the unfused
-  // pipeline (shared softmax_row kernel).
-  if (!runtime::reference_mode() && net_.size() >= 2) {
-    if (const auto* last =
-            dynamic_cast<const nn::Linear*>(&net_.layer(net_.size() - 1))) {
-      nn::Tensor feat = net_.infer_prefix(input, net_.size() - 1, ws);
-      nn::Tensor probs = last->infer_softmax(feat, ws);
-      ws.recycle(std::move(feat));
-      return probs;
-    }
-  }
-  nn::Tensor logits = net_.infer(input, ws);
-  nn::Tensor probs = nn::softmax(logits, ws);
-  ws.recycle(std::move(logits));
+  // Run the fused walk up to (but not including) the final Linear, then
+  // apply FC + softmax in one pass so the logits never round-trip through
+  // the arena. Bitwise identical to softmax(net_.infer(input)) (shared
+  // softmax_row kernel). The constructor always ends the net in a Linear.
+  const std::size_t head = net_.size() - 1;
+  const auto& fc = dynamic_cast<const nn::Linear&>(net_.layer(head));
+  nn::Tensor feat = net_.infer_prefix(input, head, ws);
+  nn::Tensor probs = fc.infer_softmax(feat, ws);
+  ws.recycle(std::move(feat));
   return probs;
 }
 

@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/io.hpp"
 #include "common/parallel.hpp"
-#include "common/refmode.hpp"
 #include "common/timer.hpp"
 #include "nn/workspace.hpp"
 #include "hotspot/engine/engine.hpp"
@@ -257,16 +256,9 @@ bool CnnDetector::predict(const layout::Clip& clip) const {
 double CnnDetector::predict_probability(const layout::Clip& clip) const {
   std::vector<std::size_t> shape = model_.input_shape();
   shape.insert(shape.begin(), 1);
-  if (runtime::reference_mode()) {
-    // Oracle path: the original allocating pipeline, end to end.
-    fte::FeatureTensor ft = extractor_.extract(clip);
-    const nn::Tensor x = nn::Tensor::from_data(shape, std::move(ft.data));
-    const nn::Tensor probs = score(x);
-    return static_cast<double>(probs.at(0, kHotspotIndex));
-  }
-  // Serving fast path: per-thread input tensor and workspace arena, so a
-  // window prediction allocates nothing once warm. The arena-backed
-  // forward runs the same kernels as score(); only buffer reuse differs.
+  // Per-thread input tensor and workspace arena, so a window prediction
+  // allocates nothing once warm. The arena-backed forward runs the same
+  // kernels as score(); only buffer reuse differs.
   thread_local nn::Tensor x;
   thread_local nn::WorkspaceArena arena;
   if (x.shape() != shape) x = nn::Tensor(shape);

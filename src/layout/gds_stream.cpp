@@ -13,7 +13,6 @@ namespace hsdl::layout {
 namespace {
 
 constexpr std::size_t kMaxHierDepth = 64;
-constexpr std::int64_t kMaxFlattenInstances = 1 << 24;
 
 /// FNV-1a 64 accumulator for cell content hashes. Not cryptographic:
 /// the scan cache assumes non-adversarial inputs (a deliberate hash
@@ -231,40 +230,6 @@ void HierLayout::query_cell(std::size_t cell_index, geom::Point offset,
         query_cell(p.cell, p.origin(i, j) + offset, window, layer, out,
                    depth + 1);
   }
-}
-
-namespace {
-
-void flatten_rec(const std::vector<HierCell>& cells, std::size_t cell_index,
-                 geom::Point offset, std::int16_t layer,
-                 std::vector<geom::Rect>& out, std::int64_t& instances,
-                 std::size_t depth) {
-  HSDL_CHECK_MSG(depth < kMaxHierDepth, "GDSII: hierarchy deeper than "
-                                            << kMaxHierDepth);
-  const HierCell& cell = cells[cell_index];
-  for (std::size_t i = 0; i < cell.shapes.size(); ++i)
-    if (cell.layers[i] == layer)
-      out.push_back(cell.shapes[i].shifted(offset));
-  for (const HierPlacement& p : cell.placements) {
-    instances += p.instances();
-    HSDL_CHECK_MSG(instances <= kMaxFlattenInstances,
-                   "GDSII: flattening '" << cell.name << "' expands past "
-                                         << kMaxFlattenInstances
-                                         << " placements");
-    for (std::int32_t j = 0; j < p.rows; ++j)
-      for (std::int32_t i = 0; i < p.cols; ++i)
-        flatten_rec(cells, p.cell, p.origin(i, j) + offset, layer, out,
-                    instances, depth + 1);
-  }
-}
-
-}  // namespace
-
-std::vector<geom::Rect> HierLayout::flatten(std::int16_t layer) const {
-  std::vector<geom::Rect> out;
-  std::int64_t instances = 0;
-  flatten_rec(cells_, top_, {0, 0}, layer, out, instances, 0);
-  return out;
 }
 
 std::int64_t HierLayout::flat_instance_count() const {

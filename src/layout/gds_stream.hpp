@@ -84,11 +84,6 @@ class HierLayout {
   void query(const geom::Rect& window, std::int16_t layer,
              std::vector<geom::Rect>& out) const;
 
-  /// Fully flattened geometry of `layer` in top-cell coordinates — the
-  /// test oracle and the bridge to the flat Layout model. Guarded by
-  /// the same instance ceiling as flatten_cell.
-  std::vector<geom::Rect> flatten(std::int16_t layer) const;
-
   /// Sum of instances() over all placements reachable from the top —
   /// the size a flat expansion would multiply geometry by.
   std::int64_t flat_instance_count() const;

@@ -1,9 +1,9 @@
 // 2-D convolution layer.
 //
 // Training (forward/backward) uses im2col + GEMM, which it needs anyway
-// for the gradient GEMMs. Inference uses the direct kernels from
-// nn/conv_direct.hpp unless reference mode is on (common/refmode.hpp),
-// in which case it runs the original im2col + GEMM path.
+// for the gradient GEMMs. Inference always uses the direct kernels from
+// nn/conv_direct.hpp; their bitwise oracle is the +0-seeded im2col
+// accumulation the conv tests spell out (tests/nn/conv_direct_test.cpp).
 //
 // Implements Equation (4) of the paper: each output map is the sum over
 // input channels of 2-D correlations with a kh x kw kernel, plus a bias.

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/refmode.hpp"
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
@@ -58,14 +57,8 @@ void Linear::matmul_epilogue(const Tensor& input, Epilogue epi,
   // flips to an FMA microkernel once batch * out * in crosses its flop
   // cutoff, which rounds differently.) The FC layers are a rounding
   // error of serving time next to the convs, so nothing is lost.
-  // Reference mode keeps the historical cutoff dispatch.
-  if (runtime::reference_mode()) {
-    gemm(false, true, n, out_, in_, 1.0f, input.data(), in_,
-         weight_.value.data(), in_, 0.0f, out.data(), out_);
-  } else {
-    gemm_naive(false, true, n, out_, in_, 1.0f, input.data(), in_,
-               weight_.value.data(), in_, 0.0f, out.data(), out_);
-  }
+  gemm_naive(false, true, n, out_, in_, 1.0f, input.data(), in_,
+             weight_.value.data(), in_, 0.0f, out.data(), out_);
   // Fused epilogues run the same arithmetic the separate Relu / softmax
   // layers would — the only thing saved is the intermediate tensor.
   switch (epi) {

@@ -4,20 +4,8 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "nn/workspace.hpp"
 
 namespace hsdl::nn {
-namespace {
-
-// Shared row kernel so the heap and arena entry points cannot drift
-// numerically.
-void softmax_rows(const Tensor& logits, Tensor& out) {
-  const std::size_t n = logits.extent(0), c = logits.extent(1);
-  for (std::size_t i = 0; i < n; ++i)
-    softmax_row(logits.data() + i * c, c, out.data() + i * c);
-}
-
-}  // namespace
 
 void softmax_row(const float* logits, std::size_t c, float* out) {
   float m = logits[0];
@@ -35,14 +23,9 @@ void softmax_row(const float* logits, std::size_t c, float* out) {
 Tensor softmax(const Tensor& logits) {
   HSDL_CHECK(logits.dim() == 2);
   Tensor out(logits.shape());
-  softmax_rows(logits, out);
-  return out;
-}
-
-Tensor softmax(const Tensor& logits, WorkspaceArena& ws) {
-  HSDL_CHECK(logits.dim() == 2);
-  Tensor out = ws.take(logits.shape());
-  softmax_rows(logits, out);
+  const std::size_t n = logits.extent(0), c = logits.extent(1);
+  for (std::size_t i = 0; i < n; ++i)
+    softmax_row(logits.data() + i * c, c, out.data() + i * c);
   return out;
 }
 

@@ -27,8 +27,6 @@ class SoftmaxCrossEntropy {
   Tensor targets_;
 };
 
-class WorkspaceArena;
-
 /// One row of the stabilized softmax: out[j] = exp(x[j]-max)/sum. This is
 /// the single arithmetic definition every softmax in the repo routes
 /// through (loss, standalone, and the fused FC+softmax serving path), so
@@ -37,9 +35,5 @@ void softmax_row(const float* logits, std::size_t c, float* out);
 
 /// Standalone row-wise softmax (numerically stabilized).
 Tensor softmax(const Tensor& logits);
-
-/// Arena-backed softmax: bitwise identical to softmax(logits) but the
-/// output is drawn from `ws` instead of the heap.
-Tensor softmax(const Tensor& logits, WorkspaceArena& ws);
 
 }  // namespace hsdl::nn

@@ -1,7 +1,6 @@
 #include "nn/sequential.hpp"
 
 #include "common/check.hpp"
-#include "common/refmode.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
@@ -27,8 +26,8 @@ Tensor Sequential::forward(const Tensor& input, bool train) {
 //                       still pays a full tensor copy)
 //   * Flatten        -> in-place reshape, stealing the owned buffer
 //                       instead of copying it
-// Reference mode (common/refmode.hpp) bypasses this and runs the
-// original one-layer-at-a-time loops.
+// It is the only inference walk; the layer-wise Layer::infer loop it
+// must equal bitwise lives in the tests as the oracle.
 Tensor Sequential::fused_infer(const Tensor& input, std::size_t n_layers,
                                WorkspaceArena* ws) const {
   HSDL_CHECK_MSG(n_layers >= 1 && n_layers <= layers_.size(),
@@ -69,24 +68,12 @@ Tensor Sequential::fused_infer(const Tensor& input, std::size_t n_layers,
 
 Tensor Sequential::infer(const Tensor& input) const {
   HSDL_CHECK_MSG(!layers_.empty(), "empty sequential");
-  if (!runtime::reference_mode())
-    return fused_infer(input, layers_.size(), nullptr);
-  Tensor x = input;
-  for (const auto& l : layers_) x = l->infer(x);
-  return x;
+  return fused_infer(input, layers_.size(), nullptr);
 }
 
 Tensor Sequential::infer(const Tensor& input, WorkspaceArena& ws) const {
   HSDL_CHECK_MSG(!layers_.empty(), "empty sequential");
-  if (!runtime::reference_mode())
-    return fused_infer(input, layers_.size(), &ws);
-  Tensor x = layers_.front()->infer(input, ws);
-  for (std::size_t i = 1; i < layers_.size(); ++i) {
-    Tensor y = layers_[i]->infer(x, ws);
-    ws.recycle(std::move(x));
-    x = std::move(y);
-  }
-  return x;
+  return fused_infer(input, layers_.size(), &ws);
 }
 
 Tensor Sequential::infer_prefix(const Tensor& input, std::size_t n_layers,

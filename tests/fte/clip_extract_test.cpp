@@ -19,7 +19,6 @@
 #include "common/cpuinfo.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
-#include "common/refmode.hpp"
 #include "common/trace.hpp"
 #include "fte/feature_tensor.hpp"
 #include "layout/generator.hpp"
@@ -38,18 +37,14 @@ std::vector<std::uint32_t> bits(const FeatureTensor& t) {
   return out;
 }
 
-/// Clip path == raster path == reference mode, bit for bit (signed zeros
+/// Clip path == raster path == extract_reference, bit for bit (signed zeros
 /// included), under the dispatched kernels and under forced scalar.
 void expect_bitwise(const FeatureTensorConfig& cfg, const Clip& clip,
                     const std::string& what) {
   SCOPED_TRACE(what);
   const FeatureTensorExtractor ex(cfg);
   const layout::MaskImage raster = layout::rasterize(clip, cfg.nm_per_px);
-  std::vector<std::uint32_t> ref;
-  {
-    runtime::ReferenceModeGuard guard(true);
-    ref = bits(ex.extract(clip));
-  }
+  const std::vector<std::uint32_t> ref = bits(ex.extract_reference(raster));
   const bool prev = cpu::force_scalar();
   for (const bool scalar : {false, true}) {
     cpu::set_force_scalar(scalar);
@@ -193,8 +188,7 @@ TEST(ClipExtractTest, RasterRunsHoldForArbitraryFloats) {
   }
   const FeatureTensorExtractor ex(config(2.0));
   const std::vector<std::uint32_t> fast = bits(ex.extract(img));
-  runtime::ReferenceModeGuard guard(true);
-  EXPECT_EQ(fast, bits(ex.extract(img)));
+  EXPECT_EQ(fast, bits(ex.extract_reference(img)));
 }
 
 TEST(ClipExtractTest, OneSpanAndOneTensorCountPerExtract) {

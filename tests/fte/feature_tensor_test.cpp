@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/cpuinfo.hpp"
-#include "common/refmode.hpp"
 #include "layout/generator.hpp"
 #include "layout/raster.hpp"
 
@@ -174,8 +173,10 @@ TEST(FeatureTensorTest, RejectsBadInputs) {
   FeatureTensorExtractor ex;
   MaskImage not_square(100, 50, 1.0);
   EXPECT_THROW(ex.extract(not_square), hsdl::CheckError);
+  EXPECT_THROW(ex.extract_reference(not_square), hsdl::CheckError);
   MaskImage indivisible(100, 100, 1.0);  // 100 % 12 != 0
   EXPECT_THROW(ex.extract(indivisible), hsdl::CheckError);
+  EXPECT_THROW(ex.extract_reference(indivisible), hsdl::CheckError);
 
   FeatureTensorConfig cfg;
   cfg.coeffs = 0;
@@ -192,8 +193,7 @@ TEST(FeatureTensorTest, BandedFastPathMatchesReferenceBitwise) {
     FeatureTensorExtractor ex(cfg);
     MaskImage raster = layout::rasterize(clip, cfg.nm_per_px);
     FeatureTensor fast = ex.extract(raster);
-    runtime::ReferenceModeGuard guard(true);
-    FeatureTensor ref = ex.extract(raster);
+    FeatureTensor ref = ex.extract_reference(raster);
     ASSERT_EQ(fast.data.size(), ref.data.size());
     for (std::size_t i = 0; i < ref.data.size(); ++i)
       ASSERT_EQ(fast.data[i], ref.data[i])
@@ -207,8 +207,8 @@ TEST(FeatureTensorTest, ClipOverloadMatchesReferencePipeline) {
   Clip clip = demo_clip();
   FeatureTensorExtractor ex;
   FeatureTensor fast = ex.extract(clip);
-  runtime::ReferenceModeGuard guard(true);
-  FeatureTensor ref = ex.extract(clip);
+  FeatureTensor ref =
+      ex.extract_reference(layout::rasterize(clip, ex.config().nm_per_px));
   EXPECT_EQ(fast.data, ref.data);
 }
 

@@ -81,19 +81,19 @@ layout::GdsCell unit_cell() {
 
 /// TOP = 2x2 array of MACRO at pitch 2400: a 4800x4800 chip, 16 windows
 /// in 4 repeated groups — the cache replays rows 2-3 from rows 0-1.
-layout::HierLayout array_chip() {
+layout::GdsLibrary array_chip() {
   layout::GdsLibrary lib;
   layout::GdsCell top;
   top.name = "TOP";
   top.refs.push_back({"MACRO", {0, 0}, 2, 2, 2400, 2400});
   lib.cells = {unit_cell(), macro_cell(), top};
-  return layout::hier_from_library(lib);
+  return lib;
 }
 
 /// Same chip plus placements that overlap the array: a PLUG inside
 /// instance (0,0)'s area and a UNIT straddling all four instances.
 /// Windows over them get no reuse key — they must still score right.
-layout::HierLayout overlapping_chip() {
+layout::GdsLibrary overlapping_chip() {
   layout::GdsLibrary lib;
   layout::GdsCell plug;
   plug.name = "PLUG";
@@ -106,11 +106,16 @@ layout::HierLayout overlapping_chip() {
   top.refs.push_back({"PLUG", {1500, 1500}});
   top.refs.push_back({"UNIT", {2300, 2350}});
   lib.cells = {unit_cell(), macro_cell(), plug, top};
-  return layout::hier_from_library(lib);
+  return lib;
 }
 
-layout::Layout flat_expansion(const layout::HierLayout& hier) {
-  return layout::Layout(hier.extent(), hier.flatten(1));
+/// The flat oracle: flatten_cell over the library's raw refs, so it shares
+/// none of hier_from_library's normalisation with the query path.
+layout::Layout flat_expansion(const layout::GdsLibrary& lib,
+                              const layout::HierLayout& hier) {
+  return layout::Layout(
+      hier.extent(),
+      layout::flatten_cell(lib, hier.cell(hier.top()).name, 1));
 }
 
 std::string temp_path(const char* name) {
@@ -129,8 +134,9 @@ void expect_same_report(const ScanReport& a, const ScanReport& b) {
 }
 
 TEST(HierScanTest, CachedHierScanMatchesFlatBitwise) {
-  const layout::HierLayout hier = array_chip();
-  const layout::Layout flat = flat_expansion(hier);
+  const layout::GdsLibrary lib = array_chip();
+  const layout::HierLayout hier = layout::hier_from_library(lib);
+  const layout::Layout flat = flat_expansion(lib, hier);
   ASSERT_EQ(hier.extent(), flat.extent());
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
@@ -166,8 +172,9 @@ TEST(HierScanTest, CachedHierScanMatchesFlatBitwise) {
 }
 
 TEST(HierScanTest, ShardCountNeverChangesTheReport) {
-  const layout::HierLayout hier = array_chip();
-  const layout::Layout flat = flat_expansion(hier);
+  const layout::GdsLibrary lib = array_chip();
+  const layout::HierLayout hier = layout::hier_from_library(lib);
+  const layout::Layout flat = flat_expansion(lib, hier);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
 
@@ -192,7 +199,8 @@ TEST(HierScanTest, ShardCountNeverChangesTheReport) {
 }
 
 TEST(HierScanTest, ShardedScanFaultSurfacesAfterJoiningWorkers) {
-  const layout::HierLayout hier = array_chip();
+  const layout::HierLayout hier =
+      layout::hier_from_library(array_chip());
   const layout::HierSource source(hier, 1);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
@@ -208,7 +216,8 @@ TEST(HierScanTest, ShardedScanFaultSurfacesAfterJoiningWorkers) {
 }
 
 TEST(HierScanTest, ReuseMetricsSplitScoredDedupedReplayed) {
-  const layout::HierLayout hier = array_chip();
+  const layout::HierLayout hier =
+      layout::hier_from_library(array_chip());
   const layout::HierSource source(hier, 1);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
@@ -241,8 +250,9 @@ TEST(HierScanTest, ReuseMetricsSplitScoredDedupedReplayed) {
 }
 
 TEST(HierScanTest, OverlappingAndNestedPlacementsStayBitwise) {
-  const layout::HierLayout hier = overlapping_chip();
-  const layout::Layout flat = flat_expansion(hier);
+  const layout::GdsLibrary lib = overlapping_chip();
+  const layout::HierLayout hier = layout::hier_from_library(lib);
+  const layout::Layout flat = flat_expansion(lib, hier);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
 
@@ -268,7 +278,8 @@ TEST(HierScanTest, OverlappingAndNestedPlacementsStayBitwise) {
 }
 
 TEST(HierScanTest, KilledHierScanResumesBitwiseIdentical) {
-  const layout::HierLayout hier = array_chip();
+  const layout::HierLayout hier =
+      layout::hier_from_library(array_chip());
   const layout::HierSource source(hier, 1);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());
@@ -302,8 +313,9 @@ TEST(HierScanTest, JournalFingerprintSeparatesSources) {
   // A journal recorded against the flat expansion must not be resumed
   // by the hierarchical scan (or vice versa): the source fingerprint is
   // part of the journal fingerprint.
-  const layout::HierLayout hier = array_chip();
-  const layout::Layout flat = flat_expansion(hier);
+  const layout::GdsLibrary lib = array_chip();
+  const layout::HierLayout hier = layout::hier_from_library(lib);
+  const layout::Layout flat = flat_expansion(lib, hier);
   const layout::HierSource hier_source(hier, 1);
   const layout::FlatSource flat_source(flat);
   const ScanConfig config = band_per_row_config();
@@ -314,7 +326,8 @@ TEST(HierScanTest, JournalFingerprintSeparatesSources) {
 }
 
 TEST(HierScanTest, ShardedScanValidatesShardCount) {
-  const layout::HierLayout hier = array_chip();
+  const layout::HierLayout hier =
+      layout::hier_from_library(array_chip());
   const layout::HierSource source(hier, 1);
   const CnnDetector detector(small_config());
   const ChipScanner scanner(band_per_row_config());

@@ -1,6 +1,6 @@
 // Hierarchical GDSII read (read_hier_gds, DESIGN.md §16): structural
 // round-trips against the DOM and the flatten_cell oracle, lazy
-// window queries vs the flatten oracle, AREF repetition round-trips,
+// window queries vs the same oracle, AREF repetition round-trips,
 // and the corruption sweep (bit flips, truncations, oversized record
 // lengths, reference cycles) — a damaged stream is rejected with a
 // CheckError-family diagnostic or parses to something valid, never a
@@ -67,6 +67,19 @@ std::vector<Rect> sorted(std::vector<Rect> v) {
   return v;
 }
 
+/// Every shape on `layer`, through the lazy query over the whole extent.
+std::vector<Rect> query_all(const HierLayout& hier, std::int16_t layer) {
+  std::vector<Rect> out;
+  hier.query(hier.extent(), layer, out);
+  return out;
+}
+
+/// The DOM oracle: flatten_cell over the raw refs of the hierarchy's top.
+std::vector<Rect> flat_oracle(const GdsLibrary& lib, const HierLayout& hier,
+                              std::int16_t layer) {
+  return flatten_cell(lib, hier.cell(hier.top()).name, layer);
+}
+
 enum class Outcome { kAccepted, kRejected, kForeignException };
 
 Outcome try_read_hier(const std::string& bytes) {
@@ -85,21 +98,24 @@ TEST(GdsStreamTest, MatchesDomReaderAndFlattenOracle) {
   const HierLayout hier = read_hier(serialized(lib));
   ASSERT_EQ(hier.cells().size(), 3u);
   EXPECT_EQ(hier.cells()[hier.top()].name, "TOP");
-  EXPECT_EQ(sorted(hier.flatten(1)), sorted(flatten_cell(lib, "TOP", 1)));
+  const std::vector<Rect> flat = flat_oracle(lib, hier, 1);
+  EXPECT_EQ(sorted(query_all(hier, 1)), sorted(flat));
   // 1 top shape + (6 array + 1 single) PAIR x 2 VIA = 15 rects.
-  EXPECT_EQ(hier.flatten(1).size(), 15u);
+  EXPECT_EQ(flat.size(), 15u);
 }
 
 TEST(GdsStreamTest, ExtentIsFlattenedBbox) {
-  const HierLayout hier = read_hier(serialized(hier_lib()));
+  const GdsLibrary lib = hier_lib();
+  const HierLayout hier = read_hier(serialized(lib));
   Rect bbox;
-  for (const Rect& r : hier.flatten(1)) bbox = bbox.bbox_union(r);
+  for (const Rect& r : flat_oracle(lib, hier, 1)) bbox = bbox.bbox_union(r);
   EXPECT_EQ(hier.extent(), bbox);
 }
 
 TEST(GdsStreamTest, QueryMatchesFlattenOracle) {
-  const HierLayout hier = read_hier(serialized(hier_lib()));
-  const std::vector<Rect> flat = hier.flatten(1);
+  const GdsLibrary lib = hier_lib();
+  const HierLayout hier = read_hier(serialized(lib));
+  const std::vector<Rect> flat = flat_oracle(lib, hier, 1);
   // Windows chosen to land inside one array instance, straddle two,
   // cover nothing, and cover everything.
   const Rect windows[] = {
@@ -216,7 +232,8 @@ std::string negative_pitch_stream() {
 }
 
 TEST(GdsStreamTest, NegativePitchArefNormalized) {
-  const HierLayout hier = read_hier(negative_pitch_stream());
+  const std::string bytes = negative_pitch_stream();
+  const HierLayout hier = read_hier(bytes);
   const HierCell& top = hier.cells()[hier.top()];
   ASSERT_EQ(top.placements.size(), 1u);
   const HierPlacement& p = top.placements[0];
@@ -224,11 +241,15 @@ TEST(GdsStreamTest, NegativePitchArefNormalized) {
   EXPECT_GT(p.col_pitch, 0);  // normalized to a positive step
   EXPECT_EQ(p.col_pitch, 100);
   EXPECT_EQ(p.at, (Point{400, 0}));  // origin moved to the low corner
-  const std::vector<Rect> flat = sorted(hier.flatten(1));
+  // The oracle expands the raw negative-pitch AREF; the query path runs
+  // on the normalized placement, and both must land on the same shapes.
+  std::istringstream is(bytes);
+  const std::vector<Rect> flat = sorted(flat_oracle(read_gds(is), hier, 1));
   ASSERT_EQ(flat.size(), 3u);
   EXPECT_EQ(flat[0].lo, (Point{400, 0}));
   EXPECT_EQ(flat[1].lo, (Point{500, 0}));
   EXPECT_EQ(flat[2].lo, (Point{600, 0}));
+  EXPECT_EQ(sorted(query_all(hier, 1)), flat);
 }
 
 /// Hands `check` the io::IoError that read_gds and read_hier_gds each
@@ -391,8 +412,8 @@ TEST(GdsStreamTest, LayerFilterDropsOtherLayers) {
   GdsReadOptions options;
   options.layer_filter = 2;
   const HierLayout hier = read_hier(serialized(lib), options);
-  EXPECT_EQ(hier.flatten(2).size(), 1u);
-  EXPECT_TRUE(hier.flatten(1).empty());
+  EXPECT_EQ(query_all(hier, 2).size(), 1u);
+  EXPECT_TRUE(query_all(hier, 1).empty());
 }
 
 TEST(GdsStreamTest, HierFromLibraryMatchesStreamRead) {
@@ -401,7 +422,8 @@ TEST(GdsStreamTest, HierFromLibraryMatchesStreamRead) {
   const HierLayout from_lib = hier_from_library(lib);
   EXPECT_EQ(from_stream.fingerprint(), from_lib.fingerprint());
   EXPECT_EQ(from_stream.extent(), from_lib.extent());
-  EXPECT_EQ(sorted(from_stream.flatten(1)), sorted(from_lib.flatten(1)));
+  EXPECT_EQ(sorted(query_all(from_stream, 1)),
+            sorted(query_all(from_lib, 1)));
 }
 
 TEST(GdsStreamTest, ContentHashSharedByCongruentCells) {
@@ -440,7 +462,8 @@ TEST(GdsStreamTest, FlatInstanceCountMultipliesNestedArrays) {
   const HierLayout hier = hier_from_library(lib);
   // 5 ROW placements, each placing 10 UNITs: 5 + 5*10 = 55.
   EXPECT_EQ(hier.flat_instance_count(), 55);
-  EXPECT_EQ(hier.flatten(1).size(), 50u);
+  EXPECT_EQ(query_all(hier, 1).size(), 50u);
+  EXPECT_EQ(flat_oracle(lib, hier, 1).size(), 50u);
 }
 
 TEST(GdsStreamTest, AdversarialRepetitionGuarded) {
@@ -452,13 +475,13 @@ TEST(GdsStreamTest, AdversarialRepetitionGuarded) {
   unit.layers.push_back(1);
   GdsCell top;
   top.name = "TOP";
-  // 4096 x 4097 > the 2^24 flatten ceiling — finalize is fine (lazy),
-  // flatten must refuse instead of allocating gigabytes.
+  // 4096 x 4097 > the 2^24 flatten ceiling — finalize is fine (lazy).
+  // flatten_cell's refusal is pinned by
+  // GdsiiSrefTest.FlattenInstanceBlowupGuarded.
   top.refs.push_back({"UNIT", {0, 0}, 4096, 4097, 10, 10});
   lib.cells = {unit, top};
   const HierLayout hier = hier_from_library(lib);
   EXPECT_GT(hier.flat_instance_count(), std::int64_t{1} << 24);
-  EXPECT_THROW(hier.flatten(1), CheckError);
   // Lazy queries stay O(window): this does not expand the array.
   std::vector<Rect> out;
   hier.query(Rect::from_xywh(0, 0, 15, 15), 1, out);

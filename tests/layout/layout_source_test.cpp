@@ -170,9 +170,11 @@ TEST(HierSourceTest, DescendsThroughNestedArrays) {
 }
 
 TEST(HierSourceTest, ExtractClipMatchesFlattenOracle) {
-  const HierLayout hier = hier_from_library(nested_array_lib());
+  const GdsLibrary lib = nested_array_lib();
+  const HierLayout hier = hier_from_library(lib);
   const HierSource source(hier, 1);
-  const std::vector<Rect> flat = hier.flatten(1);
+  const std::vector<Rect> flat =
+      flatten_cell(lib, hier.cell(hier.top()).name, 1);
   const Rect w = Rect::from_xywh(30, 30, 250, 250);
   const Clip clip = source.extract_clip(w);
   EXPECT_EQ(clip.window, w);

@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "common/cpuinfo.hpp"
-#include "common/refmode.hpp"
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/tensor.hpp"
+#include "nn/workspace.hpp"
 
 namespace hsdl::nn {
 namespace {
@@ -192,8 +192,8 @@ TEST(ConvDirectTest, ScalarMatchesDispatchedKernel) {
 // The serving net's four convs (Table 1: 3x3, pad 1, stride 1) at the
 // paper's 12x12 feature grid, 16 and 32 maps: the 16- and 32-channel
 // register tiles, with exact-zero weights and post-ReLU inputs. Compared
-// against ref_conv rather than reference mode: above the GEMM cutoff the
-// im2col reference runs the blocked FMA GEMM, which rounds differently.
+// against ref_conv rather than the training path's im2col GEMM: above the
+// GEMM cutoff that runs the blocked FMA GEMM, which rounds differently.
 TEST(ConvDirectTest, Table1ShapesMatchReferenceBitwise) {
   Rng rng(23);
   struct Layer {
@@ -269,27 +269,52 @@ TEST(ConvDirectTest, GeneratedShapesMatchReferenceBitwise) {
   }
 }
 
-TEST(ConvDirectTest, Conv2dInferFastMatchesReferenceMode) {
+// Conv2d's serving entry points (allocating and arena-backed, plain and
+// fused ReLU) against ref_conv one sample at a time, at batch 3. The
+// Table-1 conv1_1 shape (32 -> 16 maps at 12x12) is above the GEMM
+// cutoff, where the training path's blocked FMA GEMM rounds differently
+// and cannot stand in for the oracle.
+TEST(ConvDirectTest, Conv2dInferMatchesRefConvPerSample) {
   Rng rng(17);
-  Conv2dConfig cfg;
-  cfg.in_channels = 3;
-  cfg.out_channels = 8;
-  cfg.kernel = 3;
-  cfg.stride = 1;
-  cfg.padding = 1;
-  Conv2d conv(cfg, rng);
-  // m*n*k = 8 * 144 * 27 stays under the GEMM blocking cutoff, so the
-  // im2col reference path uses the naive kernel and the direct path must
-  // reproduce it bitwise.
-  Tensor x({2, 3, 12, 12});
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(rng.normal());
-  Tensor fast = conv.infer(x);
-  runtime::ReferenceModeGuard guard(true);
-  Tensor ref = conv.infer(x);
-  ASSERT_EQ(fast.shape(), ref.shape());
-  ASSERT_EQ(0, std::memcmp(fast.data(), ref.data(),
-                           fast.numel() * sizeof(float)));
+  struct Shape {
+    std::size_t ic, oc, hw;
+  };
+  for (const Shape& sh : {Shape{3, 8, 12}, Shape{32, 16, 12}}) {
+    SCOPED_TRACE(::testing::Message() << sh.ic << "->" << sh.oc);
+    Conv2dConfig cfg;
+    cfg.in_channels = sh.ic;
+    cfg.out_channels = sh.oc;
+    Conv2d conv(cfg, rng);
+    Tensor& weight = conv.weight().value;
+    for (std::size_t i = 0; i < weight.numel(); i += 7) weight[i] = 0.0f;
+    const std::vector<float> w(weight.data(), weight.data() + weight.numel());
+    const Tensor& bias = conv.bias().value;
+    const std::vector<float> b(bias.data(), bias.data() + bias.numel());
+    const std::size_t batch = 3;
+    Tensor x({batch, sh.ic, sh.hw, sh.hw});
+    for (std::size_t i = 0; i < x.numel(); ++i)
+      x[i] = static_cast<float>(rng.normal());
+
+    WorkspaceArena ws;
+    const Tensor plain[] = {conv.infer(x), conv.infer(x, ws)};
+    const Tensor relu[] = {conv.infer_relu(x), conv.infer_relu(x, ws)};
+    const ConvDirectShape s = make_shape(sh.ic, sh.hw, sh.hw, sh.oc, 3, 1, 1);
+    const std::size_t in_size = sh.ic * sh.hw * sh.hw;
+    const std::size_t out_size = sh.oc * sh.hw * sh.hw;
+    for (std::size_t i = 0; i < batch; ++i) {
+      SCOPED_TRACE(::testing::Message() << "sample " << i);
+      const std::vector<float> in(x.data() + i * in_size,
+                                  x.data() + (i + 1) * in_size);
+      const auto sample = [&](const Tensor& t) {
+        return std::vector<float>(t.data() + i * out_size,
+                                  t.data() + (i + 1) * out_size);
+      };
+      const std::vector<float> want = ref_conv(in, w, b, s, false);
+      const std::vector<float> want_relu = ref_conv(in, w, b, s, true);
+      for (const Tensor& t : plain) expect_bitwise_equal(want, sample(t));
+      for (const Tensor& t : relu) expect_bitwise_equal(want_relu, sample(t));
+    }
+  }
 }
 
 TEST(ConvDirectTest, Conv2dInferReluMatchesInferThenRelu) {
